@@ -1,6 +1,6 @@
 """hawkesnet benchmark: one workload per run, timed end to end or traced by layer.
 
-    python3 perfbench/run.py --workload cell-d80 --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload tstar-small --seed 1 --seconds 16 --trace 0
 
 Run from the root of a source tree (the package is imported from ./src).
 The last line of stdout is one JSON object: correct, attempted, failed
@@ -32,6 +32,9 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(HERE, "out")
 SETUP_CHILDREN = 2   # set-up is timed in this process and in two fresh ones
+# After each operation the host-speed reference is sampled for this share
+# of the operation's time, for REFERENCE_MIN_S at the least.
+REFERENCE_SHARE, REFERENCE_MIN_S = 0.1, 0.25
 
 # Per-layer metrics: (name, unit, source). A source is ("self" | "total",
 # span name), ("count", counter) or a name handled in layer_metrics().
@@ -172,6 +175,7 @@ def main(argv=None) -> int:
         return 2
     sys.path[:0] = [SRC, HERE]
     import workloads
+    from hostspeed import HostSpeed
     from tracing import Tracer
 
     if args.workload not in workloads.WORKLOADS:
@@ -187,10 +191,16 @@ def main(argv=None) -> int:
         if args.setup_only:
             print(json.dumps({"setup_s": setup_s}))
             return 0
+        workload.warm_up()
 
         rounds = Rounds(workload)
+        # Operation times scaled to the host's nominal speed (hostspeed.py),
+        # from the reference timed just before and just after each.
         times, traced_times = [], []
+        raw_times, spent = [], 0.0
         tracer = Tracer()
+        host = HostSpeed()
+        before = host.sample_for(REFERENCE_MIN_S)
         r = 0
         while True:
             # A traced run repeats each operation with spans on, alternating
@@ -203,18 +213,27 @@ def main(argv=None) -> int:
                 finally:
                     tracer.unwrap()
                 if done is not None:
-                    (traced_times if traced else times).append(done[0])
+                    dt = done[0]
+                    after = host.sample_for(max(REFERENCE_MIN_S, REFERENCE_SHARE * dt))
+                    around = {half: (before[half] + after[half]) / 2 for half in after}
+                    (traced_times if traced else times).append(dt * host.scale(workload.host_reference, around))
+                    before, spent = after, spent + dt
                     if traced:
                         workload.count(tracer, done[1])
+                    else:
+                        raw_times.append(dt)
             r += 1
-            if r >= workload.min_rounds and sum(times) + sum(traced_times) >= args.seconds:
+            if r >= workload.min_rounds and spent >= args.seconds:
                 break
         if not times or (args.trace and not traced_times):
             print("no operation succeeded", file=sys.stderr)
             return 1
         for e in rounds.errors:
             print(f"check failed: {e}", file=sys.stderr)
-        print(f"operation seconds: {[round(t, 4) for t in times]}", file=sys.stderr)
+        print(f"operation seconds: {[round(t, 4) for t in raw_times]}", file=sys.stderr)
+        print(f"operation scaled seconds: {[round(t, 4) for t in times]}", file=sys.stderr)
+        for half, samples in host.samples.items():
+            print(f"reference {half} seconds: {[round(t, 4) for t in samples]}", file=sys.stderr)
         print(f"operation peak MB: {[round(p / 2**20, 1) for p in rounds.peaks]}", file=sys.stderr)
 
         if args.trace:
@@ -224,12 +243,13 @@ def main(argv=None) -> int:
                         workload=args.workload, seed=args.seed, rounds=len(traced_times))
         else:
             setups = [setup_s] + [setup_in_child(args) for _ in range(SETUP_CHILDREN)]
+            # Set-up (imports, making inputs) is scaled by both halves'
+            # median times over the run.
+            scale = host.scale(("bulk", "scalar"))
+            print(f"set-up seconds: {[round(t, 4) for t in setups]}; scale {scale:.4f}", file=sys.stderr)
             metrics = {
-                # Other tenants of the host only ever slow an operation down,
-                # in phases lasting seconds; the fastest operation of the run
-                # keeps to the uncontended speed where a median follows them.
-                "op_s": {"value": min(times), "unit": "s"},
-                "setup_s": {"value": statistics.median(setups), "unit": "s"},
+                "op_s": {"value": statistics.median(times), "unit": "s"},
+                "setup_s": {"value": statistics.median(setups) * scale, "unit": "s"},
                 # The median operation's peak: the T* bisection sometimes
                 # widens its bracket to T=8000, and the process-wide peak
                 # would follow that one search.
