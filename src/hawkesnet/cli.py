@@ -1,7 +1,7 @@
 """Command-line interface: simulate, recover, oracle, fano, sweep.
 
-Exit codes: 0 success, 2 spec/argument validation error, 3 simulation
-event-cap abort.
+Exit codes: 0 success, 2 spec/argument validation error or unreadable
+input file, 3 simulation event-cap abort.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import EstimatorConfig, network_to_json, recover
 from .fano import FanoInputs, fano_error_floor
-from .model import params_from_json, support_of
+from .model import params_from_json, support_of, validate
 from .moments import population_screening_scores, screening_gap, stationary_moments
 from .simulate import (
     SimulationCapError,
@@ -39,8 +39,17 @@ EXIT_SIM_CAP = 3
 
 
 def _load_model(path: str):
+    """Read a model file and reject it unless it lies in the subcritical class."""
     with open(path) as f:
-        return params_from_json(f.read())
+        params = params_from_json(f.read())
+    violations = validate(params)
+    if violations:
+        first = violations[0]
+        raise SpecError(
+            f"{path}: model rejected ({len(violations)} violation(s)); "
+            f"first: {first.code}: {first.detail}"
+        )
+    return params
 
 
 def _meta_path(events_path: str) -> str:
@@ -204,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, ValueError) as exc:
+    except (SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except SimulationCapError as exc:

@@ -5,6 +5,11 @@ empirical covariance between the clipped sampled state of a source and
 the binned event indicator of the target, keeping the m highest-scoring
 sources.  Stage two runs a centered local least squares on the retained
 candidates and thresholds the fitted coefficients.
+
+Both stages read two sufficient statistics of the sample: the centered
+covariance of Z and the screening matrix F.  For a row i with candidate
+set C the local least squares is exactly solve(Cov(Z)[C, C], F[i, C]),
+so recover never copies a per-row block of Z.
 """
 
 from __future__ import annotations
@@ -119,6 +124,17 @@ def select_candidates(score_row: np.ndarray, m: int) -> tuple[int, ...]:
     return tuple(int(j) for j in order[: min(m, d)])
 
 
+def _solve_gram(gram: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
+    """Cholesky solve of gram @ x = g, or None when gram fails the
+    relative eigenvalue test (insufficient data or duplicated columns)."""
+    eps = GRAM_EPS_REL * np.trace(gram) / len(g)
+    if np.linalg.eigvalsh(gram)[0] <= eps:
+        return None
+    L = np.linalg.cholesky(gram)
+    half = np.linalg.solve(L, g)
+    return np.linalg.solve(L.T, half)
+
+
 def local_least_squares(
     sample: BinnedSample, i: int, C: Sequence[int]
 ) -> Optional[np.ndarray]:
@@ -135,14 +151,7 @@ def local_least_squares(
     Zc = sample.Z[:, C] - sample.Z[:, C].mean(axis=0)
     y = sample.Y[:, i].astype(float)
     y -= y.mean()
-    gram = (Zc.T @ Zc) / n
-    g = (Zc.T @ y) / n
-    eps = GRAM_EPS_REL * np.trace(gram) / len(C)
-    if np.linalg.eigvalsh(gram)[0] <= eps:
-        return None
-    L = np.linalg.cholesky(gram)
-    half = np.linalg.solve(L, g)
-    return np.linalg.solve(L.T, half)
+    return _solve_gram((Zc.T @ Zc) / n, (Zc.T @ y) / n)
 
 
 def threshold_support(
@@ -159,25 +168,25 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     support plus a flag rather than aborting.
     """
     F = screening_scores(sample)
+    m = min(config.m, sample.d)
+    if sample.n < m + 1:
+        raise ValueError(f"need n >= |C|+1 bins, got n={sample.n}, |C|={m}")
+    Z = sample.Z
+    z_mean = Z.mean(axis=0)
+    cov = (Z.T @ Z) / sample.n - np.outer(z_mean, z_mean)  # Cov_n(Z), no n x d copy
     rows = []
     for i in range(sample.d):
         C = select_candidates(F[i], config.m)
-        coeffs = local_least_squares(sample, i, C)
-        if coeffs is None:
-            rows.append(
-                RowRecovery(
-                    i=i, candidates=C, scores=F[i], coeffs=None,
-                    support=frozenset(), degenerate=True,
-                )
+        idx = np.array(C)
+        coeffs = _solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
+        rows.append(
+            RowRecovery(
+                i=i, candidates=C, scores=F[i], coeffs=coeffs,
+                support=frozenset() if coeffs is None
+                else threshold_support(coeffs, C, config.tau),
+                degenerate=coeffs is None,
             )
-        else:
-            rows.append(
-                RowRecovery(
-                    i=i, candidates=C, scores=F[i], coeffs=coeffs,
-                    support=threshold_support(coeffs, C, config.tau),
-                    degenerate=False,
-                )
-            )
+        )
     return RecoveredNetwork(d=sample.d, rows=tuple(rows))
 
 

@@ -183,7 +183,9 @@ def validate(params: HawkesParams) -> list[Violation]:
                         f"theta[{i},{j}]={w} outside [{t_lo}, {t_hi}]",
                     )
                 )
-    if params.gamma >= 1.0:
+    if not params.beta > 0:
+        out.append(Violation("subcritical", None, f"beta={params.beta} not positive"))
+    elif params.gamma >= 1.0:
         out.append(Violation("subcritical", None, f"gamma={params.gamma} >= 1"))
     return out
 
@@ -323,6 +325,9 @@ def params_to_json(params: HawkesParams) -> str:
         "w_minus": params.w_minus,
         "w_plus": params.w_plus,
     }
+    for key in ("mu_minus", "mu_plus"):
+        if getattr(params, key) is not None:
+            doc[key] = getattr(params, key)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -340,6 +345,8 @@ def params_from_json(text: str) -> HawkesParams:
             alpha=doc["alpha"],
             w_minus=doc["w_minus"],
             w_plus=doc["w_plus"],
+            mu_minus=doc.get("mu_minus"),
+            mu_plus=doc.get("mu_plus"),
         )
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc

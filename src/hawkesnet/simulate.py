@@ -299,22 +299,21 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     if n == 0:
         raise ValueError(f"T={T} shorter than one bin h={h}")
     decay = math.exp(-beta * h)
-    Z = np.empty((n, log.d))
-    Y = np.zeros((n, log.d), dtype=np.uint8)
+    # Column-major, so each node's column is one contiguous write.
+    Z = np.empty((n, log.d), order="F")
+    Y = np.zeros((n, log.d), dtype=np.uint8, order="F")
     for v in range(log.d):
         ts = log.events[v]
-        # first grid index at/after each event, clamped to 0 for burn-in
-        first_grid = np.maximum(np.ceil(ts / h).astype(np.int64), 0)
+        # first grid index at/after each event; event ts lies in bin grid-1
+        grid = np.ceil(ts / h).astype(np.int64)
+        first_grid = np.maximum(grid, 0)  # burn-in events pulse at r=0
         in_grid = first_grid <= n - 1
         weights = np.exp(-beta * (first_grid[in_grid] * h - ts[in_grid]))
         pulses = np.bincount(first_grid[in_grid], weights=weights, minlength=n)
         # X(rh) = exp(-beta h) X((r-1)h) + pulses[r]
         x_grid = lfilter([1.0], [1.0, -decay], pulses)
-        Z[:, v] = np.minimum(x_grid, R)
-        y_bins = np.ceil(ts / h).astype(np.int64) - 1
-        y_bins = y_bins[(ts > 0.0) & (y_bins <= n - 1)]
-        if y_bins.size:
-            Y[np.unique(y_bins), v] = 1
+        np.minimum(x_grid, R, out=Z[:, v])
+        Y[grid[(ts > 0.0) & (grid <= n)] - 1, v] = 1
     return BinnedSample(n=n, h=float(h), R=float(R), Z=Z, Y=Y)
 
 
@@ -342,22 +341,36 @@ def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:
 
 
 def read_events_csv(path: str, meta_path: str) -> EventLog:
+    """Read a `node,time` CSV and its side-car; malformed input is a ValueError."""
     with open(meta_path) as f:
         meta = json.load(f)
-    times: list[list[float]] = [[] for _ in range(meta["d"])]
+    try:
+        d = meta["d"]
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"{meta_path}: d={d!r} is not a positive integer")
+        window = dict(
+            t_start=meta["t_start"], t_end=meta["t_end"],
+            seed=meta["seed"], method=meta["method"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{meta_path}: malformed metadata ({exc!r})") from exc
+    times: list[list[float]] = [[] for _ in range(d)]
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["node", "time"]:
             raise ValueError(f"unexpected event CSV header: {header}")
-        for node, t in reader:
-            times[int(node)].append(float(t))
+        for line, row in enumerate(reader, start=2):
+            try:
+                node, t = row
+                v = int(node)
+                if not 0 <= v < d:
+                    raise ValueError
+                times[v].append(float(t))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line}: expected `node,time` with node an integer "
+                    f"in [0, {d}), got {','.join(row)!r}"
+                ) from None
     events = tuple(np.sort(np.asarray(ts)) for ts in times)
-    return EventLog(
-        d=meta["d"],
-        events=events,
-        t_start=meta["t_start"],
-        t_end=meta["t_end"],
-        seed=meta["seed"],
-        method=meta["method"],
-    )
+    return EventLog(d=d, events=events, **window)

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,15 +92,21 @@ class SweepSpec:
     @staticmethod
     def from_json(text: str) -> "SweepSpec":
         doc = json.loads(text)
-        est = doc.pop("estimator", None)
-        if est is not None:
-            est = EstimatorConfig(**est)
+        if not isinstance(doc, dict):
+            raise SpecError("sweep spec must be a JSON object")
+        missing = [
+            f.name for f in fields(SweepSpec)
+            if f.default is MISSING and f.name not in doc
+        ]
+        if missing:
+            raise SpecError(f"sweep spec missing field(s): {', '.join(missing)}")
         try:
+            est = doc.pop("estimator", None)
             return SweepSpec(
                 d_values=tuple(doc.pop("d_values")),
                 T_values=tuple(doc.pop("T_values", ())),
                 T_bracket=tuple(doc.pop("T_bracket", (25.0, 400.0))),
-                estimator=est,
+                estimator=None if est is None else EstimatorConfig(**est),
                 **doc,
             )
         except TypeError as exc:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -113,3 +114,86 @@ def test_sweep_bad_spec_exits_2(tmp_path):
     rc = main(["sweep", "--spec", str(spec_path),
                "--out", str(tmp_path / "r.csv")])
     assert rc == EXIT_SPEC_ERROR
+
+
+def _recover_args(events, out):
+    return ["recover", "--events", events, "--beta", "1.0", "--auto",
+            "--alpha", "0.3", "--w-minus", "1.0", "--k", "1", "--out", out]
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_missing_meta_file_exits_2(tmp_path, model_file, capsys):
+    events = str(tmp_path / "e.csv")
+    assert main(["simulate", "--model", model_file, "--T", "20", "--seed", "1",
+                 "--out", events]) == 0
+    (tmp_path / "e.meta.json").unlink()
+    assert main(_recover_args(events, str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert "e.meta.json" in _one_line_error(capsys)
+
+
+def test_missing_model_file_exits_2(tmp_path, capsys):
+    assert main(["oracle", "--model", str(tmp_path / "none.json")]) == EXIT_SPEC_ERROR
+    assert "none.json" in _one_line_error(capsys)
+
+
+def test_missing_spec_file_exits_2(tmp_path, capsys):
+    rc = main(["sweep", "--spec", str(tmp_path / "none.json"),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == EXIT_SPEC_ERROR
+    assert "none.json" in _one_line_error(capsys)
+
+
+def test_event_node_out_of_range_exits_2(tmp_path, model_file, capsys):
+    events = tmp_path / "e.csv"
+    assert main(["simulate", "--model", model_file, "--T", "20", "--seed", "1",
+                 "--out", str(events)]) == 0
+    with open(events, "a") as f:
+        f.write("5,0.5\n")  # the model has d=5 nodes, 0..4
+    assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert "e.csv:" in _one_line_error(capsys)
+
+
+def test_sweep_spec_without_d_values_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"trials": 2}')
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")])
+    assert rc == EXIT_SPEC_ERROR
+    assert "d_values" in _one_line_error(capsys)
+
+
+def test_sweep_spec_names_missing_fields(tmp_path, capsys):
+    doc = json.loads(SweepSpec(
+        d_values=(4,), trials=3, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
+        mu_minus=1.0, mu_plus=1.0, beta=1.0, base_seed=5, T_values=(20.0,),
+    ).to_json())
+    del doc["beta"], doc["base_seed"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")])
+    assert rc == EXIT_SPEC_ERROR
+    err = _one_line_error(capsys)
+    assert "beta" in err and "base_seed" in err
+    assert "positional" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+def test_supercritical_model_rejected_before_running(tmp_path, capsys, command):
+    # one self-loop of weight 3 at beta=1: gamma = 3
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "d": 2, "beta": 1.0, "mu": [1.0, 1.0], "edges": [{"i": 0, "j": 0, "w": 3.0}],
+        "k": 1, "alpha": 3.0, "w_minus": 1.0, "w_plus": 1.0,
+    }))
+    args = {"simulate": ["simulate", "--model", str(model), "--T", "100", "--seed", "0",
+                         "--out", str(tmp_path / "e.csv")],
+            "oracle": ["oracle", "--model", str(model)]}[command]
+    t0 = time.perf_counter()
+    assert main(args) == EXIT_SPEC_ERROR
+    assert time.perf_counter() - t0 < 1.0
+    assert "subcritical" in _one_line_error(capsys)
+    assert not (tmp_path / "e.csv").exists()

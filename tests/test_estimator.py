@@ -195,6 +195,44 @@ class TestRecover:
         assert np.median(rel_errs) < 0.25
 
 
+def _with_columns(sample, replace):
+    Z = sample.Z.copy()
+    for j, column in replace.items():
+        Z[:, j] = column
+    return BinnedSample(n=sample.n, h=sample.h, R=sample.R, Z=Z, Y=sample.Y)
+
+
+def test_recover_matches_per_row_least_squares():
+    # recover solves Cov(Z)[C, C] x = F[i, C]; row for row it must agree
+    # with the centered least squares on the copied n x |C| block
+    _, sample, cfg = planted_sample(T=400.0, seed=13)
+    z1 = sample.Z[:, 1]
+    cases = [
+        sample,
+        _with_columns(sample, {2: z1}),  # duplicated parent column
+        _with_columns(sample, {3: np.full(sample.n, 0.7), 4: np.zeros(sample.n)}),
+        _with_columns(sample, {5: np.full(sample.n, 0.7)}),
+    ]
+    configs = [cfg, EstimatorConfig(h=cfg.h, R=cfg.R, m=sample.d, tau=cfg.tau)]
+    degenerate = 0
+    for case in cases:
+        F = screening_scores(case)
+        for config in configs:
+            net = recover(case, config)
+            for i, row in enumerate(net.rows):
+                C = select_candidates(F[i], config.m)
+                ref = local_least_squares(case, i, C)
+                assert row.candidates == C
+                assert row.degenerate == (ref is None)
+                if ref is None:
+                    degenerate += 1
+                    assert row.coeffs is None and row.support == frozenset()
+                    continue
+                assert np.max(np.abs(row.coeffs - ref)) < 1e-10
+                assert row.support == threshold_support(ref, C, config.tau)
+    assert degenerate > 0
+
+
 class TestEvaluate:
     def test_metrics_hand_example(self):
         _, sample, cfg = planted_sample(T=100.0, seed=2, d=4)

@@ -54,6 +54,13 @@ class TestValidate:
         assert codes == {"weight-bound", "rate-bound"}
 
 
+    def test_nonpositive_beta_is_not_subcritical(self):
+        for beta in (0.0, -1.0):
+            violations = validate(scalar_params(0.5, beta=beta))
+            assert [v.code for v in violations] == ["subcritical"]
+            assert "beta" in violations[0].detail
+
+
 class TestSampleRandomInstance:
     def test_deterministic_in_seed(self):
         kwargs = dict(d=20, k=2, alpha=0.1, w_minus=0.5, w_plus=1.0,
@@ -115,6 +122,22 @@ def test_support_round_trip_through_json():
     q = params_from_json(params_to_json(p))
     assert support_of(q) == support_of(p)
     assert params_to_json(q) == params_to_json(p)
+
+
+def test_rate_bounds_round_trip_through_json():
+    p = sample_random_instance(d=5, k=2, alpha=0.2, w_minus=0.5, w_plus=1.0,
+                               mu_minus=0.5, mu_plus=1.5, beta=1.0, seed=0)
+    q = params_from_json(params_to_json(p))
+    assert (q.mu_minus, q.mu_plus) == (0.5, 1.5)
+    assert params_to_json(q) == params_to_json(p)
+    # the rate-bound check survives the round trip
+    low = HawkesParams(mu=q.mu * 0.1, theta=q.theta, beta=q.beta, k=q.k,
+                       alpha=q.alpha, w_minus=q.w_minus, w_plus=q.w_plus,
+                       mu_minus=q.mu_minus, mu_plus=q.mu_plus)
+    assert {v.code for v in validate(low)} == {"rate-bound"}
+    # files without the optional bounds still load
+    unbounded = scalar_params(0.5)
+    assert params_from_json(params_to_json(unbounded)).mu_minus is None
 
 
 def test_permutation_equivariance():

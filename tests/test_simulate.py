@@ -234,3 +234,24 @@ def test_event_csv_round_trip(tmp_path):
     path2 = str(tmp_path / "e2.csv")
     write_events_csv(back, path2, str(tmp_path / "e2.meta.json"))
     assert open(path).read() == open(path2).read()
+
+
+@pytest.mark.parametrize("node", ["2", "9", "-1", "x", "1.5"])
+def test_event_csv_rejects_bad_node_naming_the_line(tmp_path, node):
+    log = manual_log(2, [[0.7], []])
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    write_events_csv(log, path, meta)
+    with open(path, "a") as f:
+        f.write(f"{node},0.5\n")
+    with pytest.raises(ValueError, match=r"e\.csv:3: .*node"):
+        read_events_csv(path, meta)
+
+
+def test_event_csv_rejects_short_row(tmp_path):
+    log = manual_log(2, [[0.7], []])
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    write_events_csv(log, path, meta)
+    with open(path, "a") as f:
+        f.write("1\n")
+    with pytest.raises(ValueError, match=r"e\.csv:3:"):
+        read_events_csv(path, meta)
