@@ -95,8 +95,8 @@ def _cmd_oracle(args) -> int:
         "G": G.tolist(),
         "gaps": gaps,
     }
-    json.dump(doc, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    # json.dumps encodes in C; json.dump to a stream takes the pure-Python encoder.
+    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return 0
 
 

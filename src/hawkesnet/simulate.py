@@ -15,8 +15,10 @@ indicators at resolution h.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,8 @@ DEFAULT_MAX_EVENTS = 10**8
 # Pre-window extension for the cluster construction: roots older than this
 # contribute at most e^{-40} of an in-window cluster.
 TAU_EXTEND_OVER_BETA = 40.0
+# One `node,time` row of an event CSV.
+_EVENT_ROW = np.dtype([("node", np.int64), ("time", np.float64)])
 
 
 class SimulationCapError(RuntimeError):
@@ -126,8 +130,8 @@ def simulate_thinning(
     """
     if burn_in is None:
         burn_in = default_burn_in(params)
-    if burn_in < 0 or T <= 0:
-        raise ValueError("need burn_in >= 0 and T > 0")
+    if not (0 <= burn_in < math.inf and 0 < T < math.inf):
+        raise ValueError(f"need finite burn_in >= 0 and T > 0, got burn_in={burn_in}, T={T}")
     rng = np.random.default_rng(seed)
     beta = params.beta
     theta = params.theta.to_dense()
@@ -183,8 +187,8 @@ def simulate_cluster(
     """
     if burn_in is None:
         burn_in = default_burn_in(params)
-    if burn_in < 0 or T <= 0:
-        raise ValueError("need burn_in >= 0 and T > 0")
+    if not (0 <= burn_in < math.inf and 0 < T < math.inf):
+        raise ValueError(f"need finite burn_in >= 0 and T > 0, got burn_in={burn_in}, T={T}")
     rng = np.random.default_rng(seed)
     beta = params.beta
     t_keep_lo = -float(burn_in)
@@ -292,8 +296,8 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     burn-in events; an event exactly at a grid point r*h belongs to the
     state at r*h and to indicator bin r-1 (intervals are (r*h, (r+1)*h]).
     """
-    if h <= 0 or R <= 0:
-        raise ValueError("need h > 0 and R > 0")
+    if not (0 < beta < math.inf and 0 < h < math.inf and 0 < R < math.inf):
+        raise ValueError(f"need finite beta > 0, h > 0 and R > 0, got beta={beta}, h={h}, R={R}")
     T = log.t_end
     n = int(math.floor(T / h))
     if n == 0:
@@ -318,16 +322,17 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
 
 
 def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:
-    """Write `node,time` rows sorted by time, plus the metadata side-car."""
-    flat = [
-        (t, v) for v in range(log.d) for t in log.events[v].tolist()
-    ]
-    flat.sort()
+    """Write `node,time` rows sorted by time, ties by node, plus the metadata side-car.
+
+    Times carry 17 significant digits, so reading the file back gives
+    every time bit for bit. Rows end in CRLF, as `csv.writer` ends them.
+    """
+    times = np.concatenate(log.events)
+    nodes = np.repeat(np.arange(log.d), [ts.size for ts in log.events])
+    order = np.lexsort((nodes, times))
+    rows = map("%d,%.17g".__mod__, zip(nodes[order].tolist(), times[order].tolist()))
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["node", "time"])
-        for t, v in flat:
-            writer.writerow([v, format(t, ".17g")])
+        f.write("\r\n".join(["node,time", *rows, ""]))
     meta = {
         "d": log.d,
         "t_start": log.t_start,
@@ -341,36 +346,86 @@ def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:
 
 
 def read_events_csv(path: str, meta_path: str) -> EventLog:
-    """Read a `node,time` CSV and its side-car; malformed input is a ValueError."""
+    """Read a `node,time` CSV and its side-car; malformed input is a ValueError.
+
+    Every row needs a node that is an integer in [0, d) and a time in
+    [t_start, t_end]; the error names the file and line of the first row
+    that has not.
+    """
+    d, window = _read_meta(meta_path)
+    with open(path, newline="") as f:
+        header = next(csv.reader(f), None)
+        if header != ["node", "time"]:
+            raise ValueError(f"unexpected event CSV header: {header}")
+        body = f.read()
+    rows = _parse_rows(body, d, window["t_start"], window["t_end"])
+    if rows is None:
+        rows = _parse_rows_one_by_one(path, body, d, window["t_start"], window["t_end"])
+    nodes, times = rows
+    order = np.lexsort((times, nodes))
+    ends = np.cumsum(np.bincount(nodes, minlength=d))
+    return EventLog(d=d, events=tuple(np.split(times[order], ends[:-1])), **window)
+
+
+def _read_meta(meta_path: str) -> tuple[int, dict]:
     with open(meta_path) as f:
         meta = json.load(f)
     try:
-        d = meta["d"]
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"{meta_path}: d={d!r} is not a positive integer")
-        window = dict(
-            t_start=meta["t_start"], t_end=meta["t_end"],
-            seed=meta["seed"], method=meta["method"],
-        )
+        d, t_start, t_end = meta["d"], meta["t_start"], meta["t_end"]
+        seed, method = meta["seed"], meta["method"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{meta_path}: malformed metadata ({exc!r})") from exc
-    times: list[list[float]] = [[] for _ in range(d)]
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["node", "time"]:
-            raise ValueError(f"unexpected event CSV header: {header}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                node, t = row
-                v = int(node)
-                if not 0 <= v < d:
-                    raise ValueError
-                times[v].append(float(t))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line}: expected `node,time` with node an integer "
-                    f"in [0, {d}), got {','.join(row)!r}"
-                ) from None
-    events = tuple(np.sort(np.asarray(ts)) for ts in times)
-    return EventLog(d=d, events=events, **window)
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ValueError(f"{meta_path}: d={d!r} is not a positive integer")
+    if not (_is_finite_number(t_start) and _is_finite_number(t_end) and t_start <= 0 < t_end):
+        raise ValueError(
+            f"{meta_path}: need finite numbers t_start <= 0 < t_end, "
+            f"got t_start={t_start!r}, t_end={t_end!r}"
+        )
+    return d, dict(t_start=float(t_start), t_end=float(t_end), seed=seed, method=method)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number, not a bool, that a float holds finitely (false for NaN)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _parse_rows(body: str, d: int, t_start: float, t_end: float):
+    """(nodes, times) of every row at once, or None if any row is not well formed."""
+    if not body or body.isspace():
+        return None  # loadtxt warns on an input with no rows
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), delimiter=",", dtype=_EVENT_ROW, comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    nodes, times = rows["node"], rows["time"]
+    # loadtxt skips empty lines, which are malformed rows here.
+    lines = body.count("\n") + (not body.endswith("\n"))
+    if (rows.size != lines or nodes.min() < 0 or nodes.max() >= d
+            or not np.all((times >= t_start) & (times <= t_end))):
+        return None
+    return nodes, times
+
+
+def _parse_rows_one_by_one(path: str, body: str, d: int, t_start: float, t_end: float):
+    """(nodes, times) row by row, or a ValueError naming the first bad line of `path`."""
+    nodes: list[int] = []
+    times: list[float] = []
+    for line, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        try:
+            node, t = row
+            v, t = int(node), float(t)
+            if not (0 <= v < d and t_start <= t <= t_end):
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{path}:{line}: expected `node,time` with node an integer in "
+                f"[0, {d}) and time a number in [{t_start!r}, {t_end!r}], "
+                f"got {','.join(row)!r}"
+            ) from None
+        nodes.append(v)
+        times.append(t)
+    return np.array(nodes, dtype=np.int64), np.array(times, dtype=np.float64)

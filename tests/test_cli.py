@@ -197,3 +197,59 @@ def test_supercritical_model_rejected_before_running(tmp_path, capsys, command):
     assert time.perf_counter() - t0 < 1.0
     assert "subcritical" in _one_line_error(capsys)
     assert not (tmp_path / "e.csv").exists()
+
+
+def _simulated_events(tmp_path, model_file):
+    # window [-10, 20]
+    events = tmp_path / "e.csv"
+    assert main(["simulate", "--model", model_file, "--T", "20", "--burn-in", "10",
+                 "--seed", "1", "--out", str(events)]) == 0
+    return events
+
+
+@pytest.mark.parametrize("when", ["nan", "inf", "70", "-70"])
+def test_event_time_outside_window_exits_2(tmp_path, model_file, capsys, when):
+    events = _simulated_events(tmp_path, model_file)
+    with open(events, "a", newline="") as f:
+        f.write(f"1,{when}\r\n")
+    last_line = len(events.read_text().splitlines())
+    assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert f"e.csv:{last_line}:" in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", True), ("t_end", "50"), ("t_start", "-10"), ("t_end", float("nan")),
+])
+def test_bad_side_car_exits_2(tmp_path, model_file, capsys, field, value):
+    events = _simulated_events(tmp_path, model_file)
+    meta = tmp_path / "e.meta.json"
+    doc = json.loads(meta.read_text())
+    doc[field] = value
+    meta.write_text(json.dumps(doc))
+    assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert "e.meta.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+def test_recover_rejects_bad_beta(tmp_path, model_file, capsys, beta):
+    events = _simulated_events(tmp_path, model_file)
+    args = _recover_args(str(events), str(tmp_path / "n.json"))
+    args[args.index("--beta") + 1] = beta
+    assert main(args) == EXIT_SPEC_ERROR
+    assert "beta" in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("method", ["thinning", "cluster"])
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "nan"), ("--T", "inf"), ("--burn-in", "nan"), ("--burn-in", "inf"),
+])
+def test_simulate_rejects_non_finite_horizon(tmp_path, model_file, capsys, method, flag, value):
+    args = ["simulate", "--model", model_file, "--T", "20", "--seed", "0",
+            "--method", method, "--out", str(tmp_path / "e.csv"), flag, value]
+    t0 = time.perf_counter()
+    assert main(args) == EXIT_SPEC_ERROR
+    assert time.perf_counter() - t0 < 1.0
+    assert "finite" in _one_line_error(capsys)
+    assert not (tmp_path / "e.csv").exists()

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hawkesnet import simulate
 from hawkesnet.model import build_subclass_instance, sample_random_instance
 from hawkesnet.moments import stationary_mean
 from hawkesnet.simulate import (
@@ -255,3 +261,134 @@ def test_event_csv_rejects_short_row(tmp_path):
         f.write("1\n")
     with pytest.raises(ValueError, match=r"e\.csv:3:"):
         read_events_csv(path, meta)
+
+
+@st.composite
+def event_logs(draw):
+    d = draw(st.integers(1, 6))
+    t_start = draw(st.floats(-50.0, 0.0))
+    t_end = draw(st.floats(1e-3, 100.0))
+    # Times drawn from a small shared pool tie within and across nodes.
+    pool = draw(st.lists(st.floats(t_start, t_end), min_size=1, max_size=6))
+    time = st.sampled_from(pool) | st.floats(t_start, t_end)
+    events = [np.sort(np.array(draw(st.lists(time, max_size=12)), dtype=float)) for _ in range(d)]
+    return EventLog(d=d, events=tuple(events), t_start=t_start, t_end=t_end,
+                    seed=draw(st.integers(0, 2**63 - 1)),
+                    method=draw(st.sampled_from(["thinning", "cluster"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=event_logs())
+@example(log=manual_log(3, [[], [], []]))
+@example(log=manual_log(2, [[-0.5, -0.5, 0.0, 0.0], [-0.5, 0.0]]))
+def test_event_csv_round_trip_is_bit_exact(log):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, meta = os.path.join(tmp, "e.csv"), os.path.join(tmp, "e.meta.json")
+        write_events_csv(log, path, meta)
+        back = read_events_csv(path, meta)
+        assert (back.d, back.t_start, back.t_end, back.seed, back.method) == (
+            log.d, log.t_start, log.t_end, log.seed, log.method)
+        for x, y in zip(back.events, log.events):
+            assert x.dtype == np.float64 and x.tobytes() == y.tobytes()
+        # The row-by-row parser, which names bad lines, reads the same rows.
+        with open(path, newline="") as f:
+            body = f.read().split("\n", 1)[1]
+        nodes, times = simulate._parse_rows_one_by_one(path, body, log.d, log.t_start, log.t_end)
+        fast = simulate._parse_rows(body, log.d, log.t_start, log.t_end)
+        if log.total_events() == 0:
+            assert fast is None and nodes.size == 0
+        else:  # the whole-column parser takes every file the writer writes
+            assert np.array_equal(fast[0], nodes) and fast[1].tobytes() == times.tobytes()
+        path2 = os.path.join(tmp, "e2.csv")
+        write_events_csv(back, path2, os.path.join(tmp, "e2.meta.json"))
+        with open(path, "rb") as a, open(path2, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_event_csv_text_is_pinned(tmp_path):
+    # Rows by time, ties by node, 17 significant digits, CRLF line ends.
+    log = EventLog(d=4, events=(np.array([-0.5, 0.1, 2.0]), np.array([1 / 3]),
+                                np.array([0.1]), np.array([])),
+                   t_start=-1.0, t_end=3.0, seed=5, method="cluster")
+    path, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+    write_events_csv(log, str(path), str(meta))
+    assert path.read_bytes() == (
+        b"node,time\r\n"
+        b"0,-0.5\r\n"
+        b"0,0.10000000000000001\r\n"
+        b"2,0.10000000000000001\r\n"
+        b"1,0.33333333333333331\r\n"
+        b"0,2\r\n"
+    )
+    assert meta.read_text() == '{"d":4,"method":"cluster","seed":5,"t_end":3.0,"t_start":-1.0}\n'
+
+
+def test_event_csv_reads_quoted_fields(tmp_path):
+    path, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+    write_events_csv(manual_log(2, [[], []]), str(path), str(meta))
+    path.write_text('node,time\n"1","0.25"\n0, 0.5\n')
+    back = read_events_csv(str(path), str(meta))
+    assert back.events[0].tolist() == [0.5] and back.events[1].tolist() == [0.25]
+
+
+def _write_with_row(tmp_path, row):
+    log = manual_log(2, [[0.7], []])  # window [-1, 10]
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    write_events_csv(log, path, meta)
+    with open(path, "a", newline="") as f:
+        f.write(row)
+    return path, meta
+
+
+@pytest.mark.parametrize("time", ["nan", "inf", "-inf", "1e400", "10.5", "-1.5"])
+def test_event_csv_rejects_time_outside_window_naming_the_line(tmp_path, time):
+    path, meta = _write_with_row(tmp_path, f"1,{time}\r\n")
+    with pytest.raises(ValueError, match=r"e\.csv:3: .*time"):
+        read_events_csv(path, meta)
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("\r\n1,0.5\r\n", 3),   # a blank line inside the body
+    ("1,0.5\r\n\r\n", 4),   # a blank line at the end
+    ("\n", 3),
+])
+def test_event_csv_rejects_blank_line(tmp_path, rows, line):
+    path, meta = _write_with_row(tmp_path, rows)
+    with pytest.raises(ValueError, match=rf"e\.csv:{line}:"):
+        read_events_csv(path, meta)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", True), ("d", 1.5), ("d", 0),
+    ("t_end", "50"), ("t_start", "-1"), ("t_end", float("nan")), ("t_end", float("inf")),
+    ("t_start", float("-inf")), ("t_end", 10**400), ("t_start", 1.0), ("t_end", 0.0),
+])
+def test_event_csv_rejects_bad_side_car(tmp_path, field, value):
+    path, meta = _write_with_row(tmp_path, "")
+    with open(meta) as f:
+        doc = json.load(f)
+    doc[field] = value
+    with open(meta, "w") as f:
+        json.dump(doc, f)
+    named = "d=" if field == "d" else "t_start <= 0 < t_end"
+    with pytest.raises(ValueError, match=r"e\.meta\.json: .*" + named):
+        read_events_csv(path, meta)
+
+
+@pytest.mark.parametrize("simulate_fn", [simulate_thinning, simulate_cluster])
+@pytest.mark.parametrize("T, burn_in", [
+    (math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf),
+])
+def test_simulators_reject_non_finite_horizon(simulate_fn, T, burn_in):
+    with pytest.raises(ValueError, match="finite"):
+        simulate_fn(poisson_params(), T=T, burn_in=burn_in, seed=0)
+
+
+@pytest.mark.parametrize("beta, h, R", [
+    (0.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (math.nan, 0.5, 1.0), (math.inf, 0.5, 1.0),
+    (1.0, math.nan, 1.0), (1.0, math.inf, 1.0), (1.0, 0.5, math.nan), (1.0, 0.5, math.inf),
+])
+def test_bin_and_clip_rejects_non_finite_or_non_positive_scales(beta, h, R):
+    log = manual_log(1, [[0.1]], t_end=2.0)
+    with pytest.raises(ValueError, match="finite"):
+        bin_and_clip(log, beta=beta, h=h, R=R)
