@@ -110,7 +110,10 @@ def _cmd_fano(args) -> int:
 
     if args.curve:
         t0, t1, steps = args.curve.split(":")
-        grid = np.linspace(float(t0), float(t1), int(steps))
+        t0, t1 = float(t0), float(t1)
+        for T in (t0, t1):
+            inputs(T)  # rejects a bad endpoint before linspace spreads it
+        grid = np.linspace(t0, t1, int(steps))
         lines = ["T,error_floor"]
         for T in grid:
             lines.append(

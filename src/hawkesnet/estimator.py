@@ -15,6 +15,7 @@ so recover never copies a per-row block of Z.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,8 +51,10 @@ class EstimatorConfig:
     tau: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.R <= 0 or self.tau <= 0:
-            raise ValueError("h, R, tau must be positive")
+        for name in ("h", "R", "tau"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
 
@@ -65,11 +68,15 @@ class EstimatorConfig:
         A_R: float = 1.0,
     ) -> "EstimatorConfig":
         """Schedule h ~ alpha^2, R ~ 1/alpha, m = 2k, tau = alpha*w_minus*h/2."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
         h = A_h * alpha**2
         return cls(
             h=h,
             R=max(1.0, A_R / alpha),
-            m=max(1, 2 * k),
+            m=2 * k,
             tau=alpha * w_minus * h / 2.0,
         )
 

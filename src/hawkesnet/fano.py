@@ -31,6 +31,10 @@ class FanoInputs:
     c_init_bound: float = 0.0
 
     def __post_init__(self):
+        for name in ("T", "beta", "mu_bar", "mu_bar_star", "theta_minus", "c_init_bound"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.d < self.k + 2:
             raise ValueError(f"need d >= k+2, got d={self.d}, k={self.k}")
         if min(self.beta, self.mu_bar, self.mu_bar_star, self.theta_minus) <= 0:

@@ -86,6 +86,30 @@ def test_fano_invalid_dimension_exits_2(capsys):
     assert rc == EXIT_SPEC_ERROR
 
 
+FANO_ARGS = ["fano", "--d", "101", "--k", "1", "--T", "1", "--beta", "1", "--mu-bar", "1",
+             "--mu-bar-star", "1", "--theta-minus", "0.5", "--c-init", "0"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "nan"), ("--T", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+    ("--mu-bar", "nan"), ("--mu-bar-star", "inf"), ("--theta-minus", "nan"),
+    ("--c-init", "nan"), ("--c-init", "inf"),
+])
+def test_fano_rejects_non_finite_input(capsys, flag, value):
+    args = list(FANO_ARGS)
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_SPEC_ERROR
+    assert "must be finite" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("curve", ["nan:10:5", "0:nan:5", "0:inf:5", "-inf:10:5"])
+def test_fano_curve_rejects_non_finite_endpoint(tmp_path, capsys, curve):
+    out = tmp_path / "curve.csv"
+    assert main([*FANO_ARGS, f"--curve={curve}", "--out", str(out)]) == EXIT_SPEC_ERROR
+    assert "T must be finite" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_bad_model_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 2, "beta": -1}')
@@ -253,3 +277,39 @@ def test_simulate_rejects_non_finite_horizon(tmp_path, model_file, capsys, metho
     assert time.perf_counter() - t0 < 1.0
     assert "finite" in _one_line_error(capsys)
     assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tau", "nan", "tau must be positive and finite"),
+    ("--tau", "inf", "tau must be positive and finite"),
+    ("--h", "nan", "h must be positive and finite"),
+    ("--h", "inf", "h must be positive and finite"),
+    ("--R", "nan", "R must be positive and finite"),
+    ("--R", "inf", "R must be positive and finite"),
+])
+def test_recover_rejects_non_finite_explicit_config(tmp_path, model_file, capsys,
+                                                    flag, value, message):
+    events = _simulated_events(tmp_path, model_file)
+    args = ["recover", "--events", str(events), "--beta", "1.0", "--h", "0.09", "--R", "4",
+            "--m", "2", "--tau", "0.0135", "--out", str(tmp_path / "n.json")]
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_SPEC_ERROR
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--w-minus", "nan", "tau must be positive and finite"),
+    ("--w-minus", "inf", "tau must be positive and finite"),
+    ("--alpha", "nan", "alpha must be positive and finite"),
+    ("--alpha", "0", "alpha must be positive and finite"),
+    ("--k", "0", "k must be >= 1"),
+    ("--k", "-3", "k must be >= 1"),
+])
+def test_recover_rejects_bad_auto_schedule(tmp_path, model_file, capsys, flag, value, message):
+    events = _simulated_events(tmp_path, model_file)
+    args = _recover_args(str(events), str(tmp_path / "n.json"))
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_SPEC_ERROR
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()

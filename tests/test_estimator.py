@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,25 @@ class TestConfig:
             EstimatorConfig(h=0.0, R=1.0, m=1, tau=0.1)
         with pytest.raises(ValueError):
             EstimatorConfig(h=0.1, R=1.0, m=0, tau=0.1)
+
+    @pytest.mark.parametrize("field", ["h", "R", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_scale(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            EstimatorConfig(**{**dict(h=0.1, R=1.0, m=1, tau=0.1), field: value})
+
+    @pytest.mark.parametrize("alpha, w_minus", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.2, math.nan), (0.2, math.inf),
+        (0.2, 0.0),
+    ])
+    def test_auto_rejects_non_finite_or_non_positive_inputs(self, alpha, w_minus):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EstimatorConfig.auto(alpha=alpha, w_minus=w_minus, k=1)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_auto_rejects_k_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            EstimatorConfig.auto(alpha=0.2, w_minus=1.0, k=k)
 
 
 class TestScreeningScores:

@@ -117,6 +117,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="subcriticality"):
             inputs(k=3, theta_minus=0.5)
 
+    @pytest.mark.parametrize("field", [
+        "T", "beta", "mu_bar", "mu_bar_star", "theta_minus", "c_init_bound",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            inputs(**{field: value})
+
     def test_negative_time(self):
         with pytest.raises(ValueError, match="nonnegative"):
             inputs(T=-1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkesnet.model import (
     HawkesParams,
@@ -138,6 +140,38 @@ def test_rate_bounds_round_trip_through_json():
     # files without the optional bounds still load
     unbounded = scalar_params(0.5)
     assert params_from_json(params_to_json(unbounded)).mu_minus is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hawkes_params(draw):
+    # Any finite values, in the class or not: the file format has to keep them all.
+    d = draw(st.integers(1, 6))
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    entries = [(i, j, draw(weight)) for i in range(d)
+               for j in sorted(draw(st.sets(st.integers(0, d - 1), max_size=d)))]
+    bound = st.none() | FINITE
+    return HawkesParams(
+        mu=np.array(draw(st.lists(FINITE, min_size=d, max_size=d)), dtype=float),
+        theta=SparseInteractionMatrix.from_entries(d, entries),
+        beta=draw(FINITE), k=draw(st.integers(0, d)), alpha=draw(FINITE),
+        w_minus=draw(FINITE), w_plus=draw(FINITE),
+        mu_minus=draw(bound), mu_plus=draw(bound),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=hawkes_params())
+def test_model_json_round_trip_keeps_every_field(p):
+    text = params_to_json(p)
+    q = params_from_json(text)
+    assert q.mu.tobytes() == p.mu.tobytes()
+    assert q.theta.rows == p.theta.rows
+    assert (q.beta, q.k, q.alpha, q.w_minus, q.w_plus) == (p.beta, p.k, p.alpha, p.w_minus, p.w_plus)
+    assert (q.mu_minus, q.mu_plus) == (p.mu_minus, p.mu_plus)
+    assert params_to_json(q) == text
 
 
 def test_permutation_equivariance():

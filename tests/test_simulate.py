@@ -9,7 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hawkesnet import simulate
-from hawkesnet.model import build_subclass_instance, sample_random_instance
+from hawkesnet.model import (
+    SparseInteractionMatrix,
+    build_subclass_instance,
+    sample_random_instance,
+)
 from hawkesnet.moments import stationary_mean
 from hawkesnet.simulate import (
     EventLog,
@@ -80,6 +84,30 @@ class TestThinning:
         log = simulate_thinning(p, T=50.0, seed=1, check_bound=True)
         assert log.total_events() > 0
 
+    @pytest.mark.parametrize("d", [5, 40])
+    def test_bound_check_holds_on_log_d_sweep_class(self, d):
+        # The instance class of acceptance criterion 7.
+        p = sample_random_instance(d=d, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                   mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=mix64(707, d))
+        checked = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3, check_bound=True)
+        plain = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3)
+        assert checked.total_events() > 0
+        # The check draws nothing, so it leaves the stream as it was.
+        for x, y in zip(checked.events, plain.events):
+            assert x.tobytes() == y.tobytes()
+
+    def test_bound_check_catches_a_wrong_scalar_excess(self, monkeypatch):
+        # Column sums that understate theta make mu_total + S lag the
+        # dense intensity, which the check recomputes on each proposal.
+        p = sample_random_instance(d=5, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                   mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=mix64(707, 5))
+        column_sums = SparseInteractionMatrix.column_sums
+        monkeypatch.setattr(SparseInteractionMatrix, "column_sums",
+                            lambda self: 0.5 * column_sums(self))
+        simulate_thinning(p, T=100.0, seed=3)  # unchecked, it runs on
+        with pytest.raises(AssertionError, match="thinning bound violated"):
+            simulate_thinning(p, T=100.0, seed=3, check_bound=True)
+
     def test_events_sorted_within_window(self):
         p = sample_random_instance(d=4, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=9)
@@ -87,6 +115,57 @@ class TestThinning:
         for ts in log.events:
             assert np.all(np.diff(ts) > 0)
             assert np.all((ts >= log.t_start) & (ts <= log.t_end))
+
+
+def _dense_reference_thinning(params, T, burn_in, seed):
+    """The dense thinning loop that the scalar-excess one replaced.
+
+    Each proposal decays the whole state X and recomputes theta @ X. It
+    draws the same random numbers in the same order as simulate_thinning
+    and maps the node draw through the same cumulative intensities.
+    """
+    rng = np.random.default_rng(seed)
+    theta = params.theta.to_dense()
+    col_sums = params.theta.column_sums()
+    mu_total = float(np.sum(params.mu))
+    t, x = -float(burn_in), np.zeros(params.d)
+    times, nodes = [], []
+    bound = mu_total
+    while True:
+        w = rng.exponential(1.0 / bound)
+        if t + w > T:
+            break
+        t += w
+        x *= math.exp(-params.beta * w)
+        lam = params.mu + theta @ x
+        lam_total = float(np.sum(lam))
+        if rng.uniform() * bound <= lam_total:
+            node = int(np.searchsorted(np.cumsum(lam), rng.uniform() * lam_total))
+            node = min(node, params.d - 1)
+            x[node] += 1.0
+            times.append(t)
+            nodes.append(node)
+        bound = mu_total + float(col_sums @ x)
+    times, nodes = np.array(times), np.array(nodes, dtype=np.int64)
+    return [times[nodes == v] for v in range(params.d)]
+
+
+@pytest.mark.parametrize("d", [1, 4, 10])
+def test_thinning_draws_match_dense_reference(d):
+    # Same per-node counts, and times equal up to the rounding of the
+    # scalar excess against the dense sum: a change in the order of the
+    # draws or in the node mapping fails this.
+    for inst in range(3):
+        p = sample_random_instance(d=d, k=min(2, d), alpha=0.3, w_minus=0.5, w_plus=1.0,
+                                   mu_minus=0.5, mu_plus=1.5, beta=1.0, seed=mix64(51, d, inst))
+        for trial in range(3):
+            seed = mix64(52, d, inst, trial)
+            log = simulate_thinning(p, T=300.0, burn_in=30.0, seed=seed)
+            ref = _dense_reference_thinning(p, 300.0, 30.0, seed)
+            assert log.total_events() > 0
+            for ts, want in zip(log.events, ref):
+                assert ts.size == want.size
+                assert np.all(np.abs(ts - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestCluster:
@@ -219,6 +298,34 @@ class TestBinAndClip:
         for orig, new in enumerate(pi):
             assert np.allclose(a.Z[:, orig], b.Z[:, new])
             assert np.array_equal(a.Y[:, orig], b.Y[:, new])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.data(), beta=st.floats(0.1, 5.0), R=st.floats(0.1, 20.0))
+    def test_matches_state_at_on_random_logs(self, case, beta, R):
+        d = case.draw(st.integers(1, 4))
+        h = case.draw(st.floats(0.05, 2.0))
+        t_end = case.draw(st.floats(h, 10.0))
+        t_start = case.draw(st.floats(-5.0, 0.0))
+        time = st.floats(t_start, t_end)
+        log = manual_log(d, [np.sort(case.draw(st.lists(time, max_size=15))) for _ in range(d)],
+                         t_start=t_start, t_end=t_end)
+        s = bin_and_clip(log, beta, h, R)
+        assert s.n == math.floor(t_end / h)
+        for j, ts in enumerate(log.events):
+            # For an event within rounding of a grid point, r*h and ts/h
+            # round apart and may put it on either side of the point, so
+            # cells next to one are skipped; test_boundary_event_conventions
+            # pins exact ties.
+            def near(t):
+                return np.any(np.abs(ts - t) <= 1e-9 * max(1.0, t))
+
+            for r in range(s.n):
+                if near(r * h):
+                    continue
+                assert s.Z[r, j] == pytest.approx(min(state_at(log, beta, j, r * h), R),
+                                                  rel=1e-9, abs=1e-12)
+                if not near((r + 1) * h):
+                    assert s.Y[r, j] == np.any((ts > r * h) & (ts <= (r + 1) * h))
 
     def test_rejects_window_shorter_than_bin(self):
         log = manual_log(1, [[0.1]], t_end=0.4)
