@@ -41,6 +41,9 @@ __all__ = [
 # Relative floor for the smallest Gram eigenvalue before a row is
 # declared degenerate.
 GRAM_EPS_REL = 1e-10
+# Bins per block of the screening product: each block casts only its own
+# rows of Y to float, so screening never holds an n x d float copy of Y.
+SCREENING_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class EstimatorConfig:
             raise ValueError(f"k must be >= 1, got {k!r}")
         if not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-        h = A_h * alpha**2
+        h = A_h * alpha * alpha  # overflows to inf, which __post_init__ rejects
         return cls(
             h=h,
             R=max(1.0, A_R / alpha),
@@ -115,11 +118,14 @@ def screening_scores(sample: BinnedSample) -> np.ndarray:
     n = sample.n
     if n < 2:
         raise ValueError("need at least 2 bins for covariance scores")
-    Z = sample.Z
-    Y = sample.Y.astype(float)
+    Z, Y = sample.Z, sample.Y
+    B = SCREENING_BLOCK_ROWS
+    YtZ = np.zeros((sample.d, sample.d))
+    for s in range(0, n, B):
+        YtZ += Y[s:s + B].T.astype(float) @ Z[s:s + B]
     z_mean = Z.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    return (Y.T @ Z) / n - np.outer(y_mean, z_mean)
+    y_mean = Y.mean(axis=0)  # exact: Y is 0/1
+    return YtZ / n - np.outer(y_mean, z_mean)
 
 
 def select_candidates(score_row: np.ndarray, m: int) -> tuple[int, ...]:
@@ -140,6 +146,22 @@ def _solve_gram(gram: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     L = np.linalg.cholesky(gram)
     half = np.linalg.solve(L, g)
     return np.linalg.solve(L.T, half)
+
+
+def _solve_grams(grams: np.ndarray, gs: np.ndarray) -> list[Optional[np.ndarray]]:
+    """`_solve_gram` over a (rows, m, m) stack, with the same result row
+    for row: one eigvalsh call for every row, then one cholesky and one
+    call per triangular solve for the rows that pass (a singular matrix
+    would make the stacked cholesky raise)."""
+    eps = GRAM_EPS_REL * np.trace(grams, axis1=1, axis2=2) / gs.shape[1]
+    ok = np.flatnonzero(~(np.linalg.eigvalsh(grams)[:, 0] <= eps))
+    L = np.linalg.cholesky(grams[ok])
+    half = np.linalg.solve(L, gs[ok, :, None])
+    x = np.linalg.solve(L.transpose(0, 2, 1), half)[..., 0]
+    solved: list[Optional[np.ndarray]] = [None] * len(gs)
+    for k, row in zip(ok.tolist(), x):
+        solved[k] = row
+    return solved
 
 
 def local_least_squares(
@@ -181,11 +203,12 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     Z = sample.Z
     z_mean = Z.mean(axis=0)
     cov = (Z.T @ Z) / sample.n - np.outer(z_mean, z_mean)  # Cov_n(Z), no n x d copy
+    candidates = [select_candidates(F[i], config.m) for i in range(sample.d)]
+    idx = np.array(candidates)  # (d, m): every row keeps min(m, d) candidates
+    solved = _solve_grams(cov[idx[:, :, None], idx[:, None, :]],
+                          np.take_along_axis(F, idx, axis=1))
     rows = []
-    for i in range(sample.d):
-        C = select_candidates(F[i], config.m)
-        idx = np.array(C)
-        coeffs = _solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
+    for i, (C, coeffs) in enumerate(zip(candidates, solved)):
         rows.append(
             RowRecovery(
                 i=i, candidates=C, scores=F[i], coeffs=coeffs,

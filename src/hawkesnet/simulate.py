@@ -315,6 +315,8 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     n = floor(T / h) grid points r*h for r = 0..n-1.  States include all
     burn-in events; an event exactly at a grid point r*h belongs to the
     state at r*h and to indicator bin r-1 (intervals are (r*h, (r+1)*h]).
+    Grid points are the floats r*h that `state_at` is given, so an event
+    is compared with them, not placed by the rounded quotient ts/h.
     """
     if not (0 < beta < math.inf and 0 < h < math.inf and 0 < R < math.inf):
         raise ValueError(f"need finite beta > 0, h > 0 and R > 0, got beta={beta}, h={h}, R={R}")
@@ -330,6 +332,9 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
         ts = log.events[v]
         # first grid index at/after each event; event ts lies in bin grid-1
         grid = np.ceil(ts / h).astype(np.int64)
+        # ts/h and r*h round apart within an ulp of a grid point.
+        grid -= (grid - 1) * h >= ts
+        grid += grid * h < ts
         first_grid = np.maximum(grid, 0)  # burn-in events pulse at r=0
         in_grid = first_grid <= n - 1
         weights = np.exp(-beta * (first_grid[in_grid] * h - ts[in_grid]))
@@ -373,14 +378,21 @@ def read_events_csv(path: str, meta_path: str) -> EventLog:
     that has not.
     """
     d, window = _read_meta(meta_path)
-    with open(path, newline="") as f:
-        header = next(csv.reader(f), None)
+    # Bytes throughout: a str body would take 4 bytes a character.
+    with open(path, "rb") as f:
+        # A lone CR ends the header too, as it ends a line for csv.
+        line, _, rest = f.readline().partition(b"\r")
+        header = next(csv.reader([line.decode("utf-8", "replace")]), None) if line else None
         if header != ["node", "time"]:
             raise ValueError(f"unexpected event CSV header: {header}")
         body = f.read()
+    if rest not in (b"", b"\n"):
+        body = rest + body
     rows = _parse_rows(body, d, window["t_start"], window["t_end"])
     if rows is None:
-        rows = _parse_rows_one_by_one(path, body, d, window["t_start"], window["t_end"])
+        # Undecodable bytes become U+FFFD, which no node or time parses.
+        text = body.decode("utf-8", "replace")
+        rows = _parse_rows_one_by_one(path, text, d, window["t_start"], window["t_end"])
     nodes, times = rows
     order = np.lexsort((times, nodes))
     ends = np.cumsum(np.bincount(nodes, minlength=d))
@@ -411,19 +423,24 @@ def _is_finite_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _parse_rows(body: str, d: int, t_start: float, t_end: float):
+def _parse_rows(body: bytes, d: int, t_start: float, t_end: float):
     """(nodes, times) of every row at once, or None if any row is not well formed."""
     if not body or body.isspace():
         return None  # loadtxt warns on an input with no rows
+    if not body.isascii():
+        # Decoded as latin1, a lone byte such as 0xa0 would pass as whitespace;
+        # the row-by-row parser reads the body as UTF-8.
+        return None
     try:
         rows = np.loadtxt(
-            io.StringIO(body), delimiter=",", dtype=_EVENT_ROW, comments=None, ndmin=1
+            io.BytesIO(body), delimiter=",", dtype=_EVENT_ROW, comments=None, ndmin=1,
+            encoding="latin1",
         )
     except ValueError:
         return None
     nodes, times = rows["node"], rows["time"]
     # loadtxt skips empty lines, which are malformed rows here.
-    lines = body.count("\n") + (not body.endswith("\n"))
+    lines = body.count(b"\n") + (not body.endswith(b"\n"))
     if (rows.size != lines or nodes.min() < 0 or nodes.max() >= d
             or not np.all((times >= t_start) & (times <= t_end))):
         return None

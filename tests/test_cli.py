@@ -242,6 +242,18 @@ def test_event_time_outside_window_exits_2(tmp_path, model_file, capsys, when):
     assert not (tmp_path / "n.json").exists()
 
 
+@pytest.mark.parametrize("byte", [b"\xff", b"\xa0"])
+def test_event_row_not_utf8_exits_2(tmp_path, model_file, capsys, byte):
+    # 0xa0 alone is not UTF-8; read as latin1 it would be a space.
+    events = _simulated_events(tmp_path, model_file)
+    with open(events, "ab") as f:
+        f.write(b"1,0.5" + byte + b"\r\n")
+    last_line = len(events.read_bytes().splitlines())
+    assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert f"e.csv:{last_line}:" in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("d", True), ("t_end", "50"), ("t_start", "-10"), ("t_end", float("nan")),
 ])
@@ -303,6 +315,7 @@ def test_recover_rejects_non_finite_explicit_config(tmp_path, model_file, capsys
     ("--w-minus", "inf", "tau must be positive and finite"),
     ("--alpha", "nan", "alpha must be positive and finite"),
     ("--alpha", "0", "alpha must be positive and finite"),
+    ("--alpha", "1e200", "h must be positive and finite"),  # alpha^2 overflows
     ("--k", "0", "k must be >= 1"),
     ("--k", "-3", "k must be >= 1"),
 ])

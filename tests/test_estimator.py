@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hawkesnet import estimator
 from hawkesnet.estimator import (
     EstimatorConfig,
     evaluate,
@@ -55,6 +57,7 @@ class TestConfig:
     @pytest.mark.parametrize("alpha, w_minus", [
         (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (0.2, math.nan), (0.2, math.inf),
         (0.2, 0.0),
+        (1e200, 1.0),  # finite, but h = alpha^2 overflows to inf
     ])
     def test_auto_rejects_non_finite_or_non_positive_inputs(self, alpha, w_minus):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -84,6 +87,32 @@ class TestScreeningScores:
         s = make_sample([[1.0]], [[1]])
         with pytest.raises(ValueError, match="at least 2"):
             screening_scores(s)
+
+    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 1])
+    def test_blocked_product_matches_dense_reference(self, n):
+        assert estimator.SCREENING_BLOCK_ROWS == 4096
+        rng = np.random.default_rng(n)
+        Z = np.asfortranarray(rng.random((n, 5)) * 3.0)
+        Y = (rng.random((n, 5)) < 0.2 + 0.1 * Z).astype(np.uint8, order="F")
+        F = screening_scores(make_sample(Z, Y))
+        Yf = Y.astype(float)
+        ref = (Yf.T @ Z) / n - np.outer(Yf.mean(axis=0), Z.mean(axis=0))
+        assert F.shape == (5, 5) and F.dtype == np.float64
+        assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_holds_no_n_by_d_float_copy(self):
+        # d=40, T=1000 on the auto schedule (h = 0.04): n = 25000 bins.
+        params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                        mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
+        log = simulate_cluster(params, T=1000.0, seed=5)
+        sample = bin_and_clip(log, params.beta, 0.04, 5.0)
+        tracemalloc.start()
+        try:
+            screening_scores(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * sample.n * sample.d * 8
 
 
 class TestSelectCandidates:
@@ -251,6 +280,38 @@ def test_recover_matches_per_row_least_squares():
                     continue
                 assert np.max(np.abs(row.coeffs - ref)) < 1e-10
                 assert row.support == threshold_support(ref, C, config.tau)
+    assert degenerate > 0
+
+
+def test_recover_rows_match_per_row_gram_solve_bitwise():
+    # recover solves every row's Gram block in one stacked call; each row
+    # must be the per-row solve of the same cov and F, bit for bit
+    cases = []
+    for d in (8, 20):
+        _, sample, cfg = planted_sample(T=400.0, seed=13, d=d)
+        z1 = sample.Z[:, 1]
+        cases += [
+            (sample, cfg),
+            (_with_columns(sample, {2: z1, 3: np.zeros(sample.n)}), cfg),
+            (_with_columns(sample, {5: np.full(sample.n, 0.7)}),
+             EstimatorConfig(h=cfg.h, R=cfg.R, m=d, tau=cfg.tau)),
+        ]
+    degenerate = 0
+    for sample, cfg in cases:
+        F = screening_scores(sample)
+        z_mean = sample.Z.mean(axis=0)
+        cov = (sample.Z.T @ sample.Z) / sample.n - np.outer(z_mean, z_mean)
+        for i, row in enumerate(recover(sample, cfg).rows):
+            C = select_candidates(F[i], cfg.m)
+            idx = np.array(C)
+            ref = estimator._solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
+            assert row.candidates == C and row.scores.tobytes() == F[i].tobytes()
+            assert row.degenerate == (ref is None)
+            if ref is None:
+                degenerate += 1
+                assert row.coeffs is None
+            else:
+                assert row.coeffs.tobytes() == ref.tobytes()
     assert degenerate > 0
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,28 +310,46 @@ class TestBinAndClip:
         time = st.floats(t_start, t_end)
         log = manual_log(d, [np.sort(case.draw(st.lists(time, max_size=15))) for _ in range(d)],
                          t_start=t_start, t_end=t_end)
-        s = bin_and_clip(log, beta, h, R)
-        assert s.n == math.floor(t_end / h)
-        for j, ts in enumerate(log.events):
-            # For an event within rounding of a grid point, r*h and ts/h
-            # round apart and may put it on either side of the point, so
-            # cells next to one are skipped; test_boundary_event_conventions
-            # pins exact ties.
-            def near(t):
-                return np.any(np.abs(ts - t) <= 1e-9 * max(1.0, t))
+        _assert_matches_state_at(log, beta, h, R)
 
-            for r in range(s.n):
-                if near(r * h):
-                    continue
-                assert s.Z[r, j] == pytest.approx(min(state_at(log, beta, j, r * h), R),
-                                                  rel=1e-9, abs=1e-12)
-                if not near((r + 1) * h):
-                    assert s.Y[r, j] == np.any((ts > r * h) & (ts <= (r + 1) * h))
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.data(), beta=st.floats(0.1, 5.0), R=st.floats(0.1, 20.0))
+    def test_matches_state_at_with_events_on_grid_points(self, case, beta, R):
+        # Events at the floats k*h, where ts/h and r*h can round apart.
+        d = case.draw(st.integers(1, 3))
+        h = case.draw(st.floats(0.01, 2.0))
+        t_end = case.draw(st.floats(h, 10.0))
+        t_start = case.draw(st.floats(-5.0, 0.0))
+        k = st.integers(math.ceil(t_start / h), math.floor(t_end / h))
+        events = [np.array(sorted({i * h for i in case.draw(st.lists(k, max_size=15))}))
+                  for _ in range(d)]
+        events = [ts[(ts >= t_start) & (ts <= t_end)] for ts in events]
+        _assert_matches_state_at(manual_log(d, events, t_start=t_start, t_end=t_end),
+                                 beta, h, R)
+
+    def test_event_on_a_float_grid_point_lies_in_the_bin_ending_there(self):
+        h = 0.3298774119830413
+        assert 13 * h / h > 13  # ceil(ts/h) would place it at grid point 14
+        log = manual_log(1, [[13 * h]], t_end=5.0)
+        s = bin_and_clip(log, beta=1.0, h=h, R=5.0)
+        assert s.Z[13, 0] == state_at(log, 1.0, 0, 13 * h) == 1.0
+        assert s.Y[12, 0] == 1 and s.Y.sum() == 1
 
     def test_rejects_window_shorter_than_bin(self):
         log = manual_log(1, [[0.1]], t_end=0.4)
         with pytest.raises(ValueError, match="shorter than one bin"):
             bin_and_clip(log, beta=1.0, h=0.5, R=1.0)
+
+
+def _assert_matches_state_at(log, beta, h, R):
+    """Z against state_at at every grid point r*h, Y against its bin (r*h, (r+1)*h]."""
+    s = bin_and_clip(log, beta, h, R)
+    assert s.n == math.floor(log.t_end / h)
+    for j, ts in enumerate(log.events):
+        for r in range(s.n):
+            assert s.Z[r, j] == pytest.approx(min(state_at(log, beta, j, r * h), R),
+                                              rel=1e-9, abs=1e-12)
+            assert s.Y[r, j] == np.any((ts > r * h) & (ts <= (r + 1) * h))
 
 
 def test_event_csv_round_trip(tmp_path):
@@ -401,7 +420,7 @@ def test_event_csv_round_trip_is_bit_exact(log):
         with open(path, newline="") as f:
             body = f.read().split("\n", 1)[1]
         nodes, times = simulate._parse_rows_one_by_one(path, body, log.d, log.t_start, log.t_end)
-        fast = simulate._parse_rows(body, log.d, log.t_start, log.t_end)
+        fast = simulate._parse_rows(body.encode(), log.d, log.t_start, log.t_end)
         if log.total_events() == 0:
             assert fast is None and nodes.size == 0
         else:  # the whole-column parser takes every file the writer writes
@@ -436,6 +455,43 @@ def test_event_csv_reads_quoted_fields(tmp_path):
     path.write_text('node,time\n"1","0.25"\n0, 0.5\n')
     back = read_events_csv(str(path), str(meta))
     assert back.events[0].tolist() == [0.5] and back.events[1].tolist() == [0.25]
+
+
+def test_event_csv_reads_lf_and_crlf_alike(tmp_path):
+    p = sample_random_instance(d=4, k=1, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                               mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=17)
+    log = simulate_cluster(p, T=50.0, seed=2)
+    crlf, meta = tmp_path / "crlf.csv", str(tmp_path / "e.meta.json")
+    write_events_csv(log, str(crlf), meta)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    a, b = read_events_csv(str(crlf), meta), read_events_csv(str(lf), meta)
+    assert len(a.events) == len(b.events) == 4
+    for x, y, z in zip(a.events, b.events, log.events):
+        assert x.tobytes() == y.tobytes() == z.tobytes()
+
+
+def test_event_csv_reads_lone_cr_line_ends(tmp_path):
+    path, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+    write_events_csv(manual_log(2, [[], []]), str(path), str(meta))
+    path.write_bytes(b"node,time\r1,0.5\r0,0.25\r")
+    back = read_events_csv(str(path), str(meta))
+    assert back.events[0].tolist() == [0.25] and back.events[1].tolist() == [0.5]
+
+
+def test_event_csv_read_peak_memory_is_a_few_file_sizes(tmp_path):
+    # The log of the screening memory test: d=40, T=1000.
+    params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    write_events_csv(simulate_cluster(params, T=1000.0, seed=5), path, meta)
+    tracemalloc.start()
+    try:
+        read_events_csv(path, meta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * os.path.getsize(path)
 
 
 def _write_with_row(tmp_path, row):
