@@ -148,22 +148,6 @@ def _solve_gram(gram: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
     return np.linalg.solve(L.T, half)
 
 
-def _solve_grams(grams: np.ndarray, gs: np.ndarray) -> list[Optional[np.ndarray]]:
-    """`_solve_gram` over a (rows, m, m) stack, with the same result row
-    for row: one eigvalsh call for every row, then one cholesky and one
-    call per triangular solve for the rows that pass (a singular matrix
-    would make the stacked cholesky raise)."""
-    eps = GRAM_EPS_REL * np.trace(grams, axis1=1, axis2=2) / gs.shape[1]
-    ok = np.flatnonzero(~(np.linalg.eigvalsh(grams)[:, 0] <= eps))
-    L = np.linalg.cholesky(grams[ok])
-    half = np.linalg.solve(L, gs[ok, :, None])
-    x = np.linalg.solve(L.transpose(0, 2, 1), half)[..., 0]
-    solved: list[Optional[np.ndarray]] = [None] * len(gs)
-    for k, row in zip(ok.tolist(), x):
-        solved[k] = row
-    return solved
-
-
 def local_least_squares(
     sample: BinnedSample, i: int, C: Sequence[int]
 ) -> Optional[np.ndarray]:
@@ -203,12 +187,11 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     Z = sample.Z
     z_mean = Z.mean(axis=0)
     cov = (Z.T @ Z) / sample.n - np.outer(z_mean, z_mean)  # Cov_n(Z), no n x d copy
-    candidates = [select_candidates(F[i], config.m) for i in range(sample.d)]
-    idx = np.array(candidates)  # (d, m): every row keeps min(m, d) candidates
-    solved = _solve_grams(cov[idx[:, :, None], idx[:, None, :]],
-                          np.take_along_axis(F, idx, axis=1))
     rows = []
-    for i, (C, coeffs) in enumerate(zip(candidates, solved)):
+    for i in range(sample.d):
+        C = select_candidates(F[i], config.m)
+        idx = np.array(C)
+        coeffs = _solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
         rows.append(
             RowRecovery(
                 i=i, candidates=C, scores=F[i], coeffs=coeffs,

@@ -283,38 +283,6 @@ def test_recover_matches_per_row_least_squares():
     assert degenerate > 0
 
 
-def test_recover_rows_match_per_row_gram_solve_bitwise():
-    # recover solves every row's Gram block in one stacked call; each row
-    # must be the per-row solve of the same cov and F, bit for bit
-    cases = []
-    for d in (8, 20):
-        _, sample, cfg = planted_sample(T=400.0, seed=13, d=d)
-        z1 = sample.Z[:, 1]
-        cases += [
-            (sample, cfg),
-            (_with_columns(sample, {2: z1, 3: np.zeros(sample.n)}), cfg),
-            (_with_columns(sample, {5: np.full(sample.n, 0.7)}),
-             EstimatorConfig(h=cfg.h, R=cfg.R, m=d, tau=cfg.tau)),
-        ]
-    degenerate = 0
-    for sample, cfg in cases:
-        F = screening_scores(sample)
-        z_mean = sample.Z.mean(axis=0)
-        cov = (sample.Z.T @ sample.Z) / sample.n - np.outer(z_mean, z_mean)
-        for i, row in enumerate(recover(sample, cfg).rows):
-            C = select_candidates(F[i], cfg.m)
-            idx = np.array(C)
-            ref = estimator._solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
-            assert row.candidates == C and row.scores.tobytes() == F[i].tobytes()
-            assert row.degenerate == (ref is None)
-            if ref is None:
-                degenerate += 1
-                assert row.coeffs is None
-            else:
-                assert row.coeffs.tobytes() == ref.tobytes()
-    assert degenerate > 0
-
-
 class TestEvaluate:
     def test_metrics_hand_example(self):
         _, sample, cfg = planted_sample(T=100.0, seed=2, d=4)
