@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def _cmd_sweep(args) -> int:
     with open(args.spec) as f:
         spec = SweepSpec.from_json(f.read())
     if args.jobs is not None:
-        spec = SweepSpec(**{**_spec_dict(spec), "jobs": args.jobs})
+        spec = replace(spec, jobs=args.jobs)
     result = run_sweep(spec, threshold_mode=args.threshold_mode)
     write_results_csv(result.cells, args.out)
     if args.threshold_mode:
@@ -145,12 +146,6 @@ def _cmd_sweep(args) -> int:
         if result.fit is not None:
             write_fit_json(result.fit, base + "_fit.json")
     return 0
-
-
-def _spec_dict(spec: SweepSpec) -> dict:
-    from dataclasses import fields
-
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 def build_parser() -> argparse.ArgumentParser:

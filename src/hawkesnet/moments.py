@@ -1,8 +1,8 @@
 """Closed-form / fixed-point stationary quantities of a stable Hawkes model.
 
 These serve as ground truth in tests: the stationary mean m solving
-(beta*I - Theta) m = mu, the stationary covariance Sigma of the state
-X(0) solving the entrywise Lyapunov equation
+(beta*I - Theta) m = mu in one linear solve, the stationary covariance
+Sigma of the state X(0) solving the entrywise Lyapunov equation
 
     2*beta*Sigma = Theta Sigma + Sigma Theta^T + diag(beta*m),
 
@@ -29,7 +29,8 @@ __all__ = [
     "c_path",
 ]
 
-DEFAULT_TOL = 1e-12
+# The covariance fixed point stops once no entry moves by TOL.
+TOL = 1e-12
 MAX_ITER = 10**6
 
 
@@ -44,56 +45,43 @@ class StationaryMoments:
     sigma: np.ndarray      # stationary covariance of X(0)
 
 
-def stationary_mean(
-    params: HawkesParams, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER
-) -> np.ndarray:
-    """Solve (beta*I - Theta) m = mu by the Neumann series.
+def _require_subcritical(params: HawkesParams) -> None:
+    if not params.gamma < 1.0:
+        raise ValueError(f"stationary moments need gamma < 1, got gamma={params.gamma}")
 
-    Iterates m <- (mu + Theta m) / beta from m = mu / beta; the increment
-    contracts geometrically with factor gamma < 1.
-    """
+
+def stationary_mean(params: HawkesParams) -> np.ndarray:
+    """Solve (beta*I - Theta) m = mu, nonsingular for gamma < 1."""
+    _require_subcritical(params)
     theta = params.theta.to_dense()
-    beta = params.beta
-    m = params.mu / beta
-    for _ in range(max_iter):
-        m_next = (params.mu + theta @ m) / beta
-        if np.max(np.abs(m_next - m)) < tol:
-            return m_next
-        m = m_next
-    raise ConvergenceError(
-        f"stationary mean did not converge in {max_iter} iterations"
-    )
+    return np.linalg.solve(params.beta * np.eye(params.d) - theta, params.mu)
 
 
-def stationary_covariance(
-    params: HawkesParams,
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITER,
-) -> np.ndarray:
+def stationary_covariance(params: HawkesParams, m: np.ndarray) -> np.ndarray:
     """Fixed-point solve of the entrywise Lyapunov equation.
 
     Sigma <- (Theta Sigma + Sigma Theta^T + diag(beta*m)) / (2*beta),
     started at zero; the map contracts with factor at most gamma.
     """
+    _require_subcritical(params)
     theta = params.theta.to_dense()
     beta = params.beta
     source = np.diag(beta * np.asarray(m))
     sigma = np.zeros_like(source)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         sigma_next = (theta @ sigma + sigma @ theta.T + source) / (2.0 * beta)
-        if np.max(np.abs(sigma_next - sigma)) < tol:
+        if np.max(np.abs(sigma_next - sigma)) < TOL:
             # enforce exact symmetry against fp drift
             return 0.5 * (sigma_next + sigma_next.T)
         sigma = sigma_next
     raise ConvergenceError(
-        f"stationary covariance did not converge in {max_iter} iterations"
+        f"stationary covariance did not converge in {MAX_ITER} iterations"
     )
 
 
-def stationary_moments(params: HawkesParams, tol: float = DEFAULT_TOL) -> StationaryMoments:
-    m = stationary_mean(params, tol=tol)
-    sigma = stationary_covariance(params, m, tol=tol)
+def stationary_moments(params: HawkesParams) -> StationaryMoments:
+    m = stationary_mean(params)
+    sigma = stationary_covariance(params, m)
     return StationaryMoments(m=m, lambda_bar=params.beta * m, sigma=sigma)
 
 

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 from scipy.signal import lfilter
@@ -375,7 +376,8 @@ def read_events_csv(path: str, meta_path: str) -> EventLog:
 
     Every row needs a node that is an integer in [0, d) and a time in
     [t_start, t_end]; the error names the file and line of the first row
-    that has not.
+    that has not. One `np.loadtxt` call parses the rows; a file it rejects
+    is walked row by row only to find the line to name.
     """
     d, window = _read_meta(meta_path)
     # Bytes throughout: a str body would take 4 bytes a character.
@@ -387,12 +389,11 @@ def read_events_csv(path: str, meta_path: str) -> EventLog:
             raise ValueError(f"unexpected event CSV header: {header}")
         body = f.read()
     if rest not in (b"", b"\n"):
-        body = rest + body
+        # Lone CRs end the lines; loadtxt splits lines at LF only.
+        body = (rest + body).replace(b"\r", b"\n")
     rows = _parse_rows(body, d, window["t_start"], window["t_end"])
     if rows is None:
-        # Undecodable bytes become U+FFFD, which no node or time parses.
-        text = body.decode("utf-8", "replace")
-        rows = _parse_rows_one_by_one(path, text, d, window["t_start"], window["t_end"])
+        _raise_at_bad_row(path, body, d, window["t_start"], window["t_end"])
     nodes, times = rows
     order = np.lexsort((times, nodes))
     ends = np.cumsum(np.bincount(nodes, minlength=d))
@@ -425,16 +426,16 @@ def _is_finite_number(x) -> bool:
 
 def _parse_rows(body: bytes, d: int, t_start: float, t_end: float):
     """(nodes, times) of every row at once, or None if any row is not well formed."""
-    if not body or body.isspace():
-        return None  # loadtxt warns on an input with no rows
-    if not body.isascii():
-        # Decoded as latin1, a lone byte such as 0xa0 would pass as whitespace;
-        # the row-by-row parser reads the body as UTF-8.
+    if not body:
+        return np.empty(0, np.int64), np.empty(0)
+    if body.isspace() or not body.isascii():
+        # loadtxt warns on an input with no rows, and decoded as latin1 a lone
+        # byte such as 0xa0 would pass as whitespace.
         return None
     try:
         rows = np.loadtxt(
-            io.BytesIO(body), delimiter=",", dtype=_EVENT_ROW, comments=None, ndmin=1,
-            encoding="latin1",
+            io.BytesIO(body), delimiter=",", quotechar='"', dtype=_EVENT_ROW,
+            comments=None, ndmin=1, encoding="latin1",
         )
     except ValueError:
         return None
@@ -447,22 +448,19 @@ def _parse_rows(body: bytes, d: int, t_start: float, t_end: float):
     return nodes, times
 
 
-def _parse_rows_one_by_one(path: str, body: str, d: int, t_start: float, t_end: float):
-    """(nodes, times) row by row, or a ValueError naming the first bad line of `path`."""
-    nodes: list[int] = []
-    times: list[float] = []
-    for line, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        try:
-            node, t = row
-            v, t = int(node), float(t)
-            if not (0 <= v < d and t_start <= t <= t_end):
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                f"{path}:{line}: expected `node,time` with node an integer in "
-                f"[0, {d}) and time a number in [{t_start!r}, {t_end!r}], "
-                f"got {','.join(row)!r}"
-            ) from None
-        nodes.append(v)
-        times.append(t)
-    return np.array(nodes, dtype=np.int64), np.array(times, dtype=np.float64)
+def _raise_at_bad_row(path: str, body: bytes, d: int, t_start: float, t_end: float) -> NoReturn:
+    """Raise a ValueError naming the first bad line of `path`, read lazily row by row."""
+    # Undecodable bytes become U+FFFD, which no node or time parses.
+    with io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", errors="replace", newline="") as text:
+        for line, row in enumerate(csv.reader(text), start=2):
+            try:
+                node, t = row
+                if not (0 <= int(node) < d and t_start <= float(t) <= t_end):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line}: expected `node,time` with node an integer in "
+                    f"[0, {d}) and time a number in [{t_start!r}, {t_end!r}], "
+                    f"got {','.join(row)!r}"
+                ) from None
+    raise ValueError(f"{path}: malformed node,time rows")

@@ -11,6 +11,7 @@ are not chosen by trying seeds.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -279,8 +280,8 @@ def test_criterion_9_cli_determinism(tmp_path):
                          "--mu-bar", "1", "--mu-bar-star", "1",
                          "--theta-minus", "0.3", "--curve", "0:20:11",
                          "--out", fano]) == 0
-        return (open(ev, "rb").read(), open(net, "rb").read(),
-                open(fano, "rb").read())
+        return (Path(ev).read_bytes(), Path(net).read_bytes(),
+                Path(fano).read_bytes())
 
     same_pipeline = run_pipeline("a") == run_pipeline("b")
 
@@ -295,7 +296,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         out = str(tmp_path / f"sweep_{tag}.csv")
         assert cli_main(["sweep", "--spec", str(spec_path), "--jobs", jobs,
                          "--out", out]) == 0
-        sweeps.append(open(out, "rb").read())
+        sweeps.append(Path(out).read_bytes())
     same_sweep = sweeps[0] == sweeps[1] == sweeps[2]
     ok = same_pipeline and same_sweep
     _report(9, ok, f"repeat pipeline byte-identical: {same_pipeline}, "

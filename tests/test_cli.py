@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_pipeline_repeat_is_byte_identical(tmp_path, model_file):
         main(["recover", "--events", events, "--beta", "1.0",
               "--h", "0.09", "--R", "4", "--m", "2", "--tau", "0.0135",
               "--out", net])
-        outs.append(open(net, "rb").read())
+        outs.append(Path(net).read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -73,7 +74,7 @@ def test_fano_point_and_curve(tmp_path, capsys):
 
     out = str(tmp_path / "curve.csv")
     assert main(["fano", *common, "--curve", "0:10:5", "--out", out]) == 0
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "T,error_floor"
     assert len(lines) == 6
     first = float(lines[1].split(",")[1])
@@ -190,6 +191,20 @@ def test_sweep_spec_without_d_values_exits_2(tmp_path, capsys):
     assert "d_values" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(SweepSpec(
+        d_values=(4,), trials=3, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
+        mu_minus=1.0, mu_plus=1.0, beta=1.0, base_seed=5, T_values=(20.0,),
+    ).to_json())
+    out = tmp_path / "r.csv"
+    rc = main(["sweep", "--spec", str(spec_path), "--jobs", jobs, "--out", str(out)])
+    assert rc == EXIT_SPEC_ERROR
+    assert "jobs must be >= 1" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_sweep_spec_names_missing_fields(tmp_path, capsys):
     doc = json.loads(SweepSpec(
         d_values=(4,), trials=3, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
@@ -251,6 +266,21 @@ def test_event_row_not_utf8_exits_2(tmp_path, model_file, capsys, byte):
     last_line = len(events.read_bytes().splitlines())
     assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
     assert f"e.csv:{last_line}:" in _one_line_error(capsys)
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("row", [
+    b'"1\r\n",0.5\r\n',        # a quoted field that holds a line break
+    b"0_1,0.5\r\n",             # a node only Python's int reads
+    "\u0661,0.5\r\n".encode(),   # an Arabic-Indic digit one
+    b"1,0.5\r0,0.5\r\n",        # a lone CR in a CRLF body
+], ids=["quoted-line-break", "underscore", "non-ascii-digit", "mixed-line-ends"])
+def test_event_rows_only_python_reads_exit_2(tmp_path, model_file, capsys, row):
+    events = _simulated_events(tmp_path, model_file)
+    with open(events, "ab") as f:
+        f.write(row)
+    assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert "e.csv" in _one_line_error(capsys)
     assert not (tmp_path / "n.json").exists()
 
 

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkesnet import estimator
 from hawkesnet.estimator import (
@@ -245,9 +248,9 @@ class TestRecover:
         assert np.median(rel_errs) < 0.25
 
 
-def _with_columns(sample, replace):
+def _with_columns(sample, columns):
     Z = sample.Z.copy()
-    for j, column in replace.items():
+    for j, column in columns.items():
         Z[:, j] = column
     return BinnedSample(n=sample.n, h=sample.h, R=sample.R, Z=Z, Y=sample.Y)
 
@@ -327,3 +330,27 @@ def test_permutation_equivariance():
     b = recover(permuted, cfg)
     for i in range(6):
         assert b.rows[pi[i]].support == frozenset(pi[j] for j in a.rows[i].support)
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([5, 10, 20, 40]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_recover_is_permutation_equivariant_on_a_relabelled_log(d, seed, data):
+    # Node v of the log becomes node pi[v]; the events themselves are not redrawn.
+    params = sample_random_instance(
+        d=d, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+        mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=seed,
+    )
+    cfg = EstimatorConfig.auto(alpha=0.2, w_minus=1.0, k=2)
+    log = simulate_cluster(params, T=300.0, seed=seed)
+    pi = data.draw(st.permutations(range(d)))
+    relabelled = replace(log, events=tuple(log.events[v] for v in np.argsort(pi)))
+    a = recover(bin_and_clip(log, params.beta, cfg.h, cfg.R), cfg)
+    b = recover(bin_and_clip(relabelled, params.beta, cfg.h, cfg.R), cfg)
+    for i, row in enumerate(a.rows):
+        other = b.rows[pi[i]]
+        assert other.candidates == tuple(pi[j] for j in row.candidates)
+        assert other.support == frozenset(pi[j] for j in row.support)
+        assert other.degenerate == row.degenerate
+        if row.coeffs is not None:
+            scale = np.max(np.abs(row.coeffs))
+            assert np.max(np.abs(other.coeffs - row.coeffs)) <= 1e-12 * scale

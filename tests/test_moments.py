@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,24 @@ class TestStationaryMean:
             assert np.all(m >= 0.5 / p.beta - 1e-12)
             assert np.all(m <= 1.5 / (p.beta * (1 - gamma)) + 1e-12)
 
+    @pytest.mark.parametrize("w", [1.0, 3.0])
+    def test_rejects_gamma_at_or_above_one(self, w):
+        # The linear solve alone would give m = mu / (beta - w): singular or
+        # negative, where no stationary mean exists.
+        p = make_params(1, [((0, w),)], mu=[1.0], alpha=1.0)
+        with pytest.raises(ValueError, match="gamma < 1"):
+            stationary_mean(p)
+
 
 class TestStationaryCovariance:
+    def test_rejects_gamma_at_or_above_one(self):
+        # Without the check the fixed point diverges for all MAX_ITER sweeps.
+        p = make_params(1, [((0, 3.0),)], mu=[1.0], alpha=1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="gamma < 1"):
+            stationary_covariance(p, np.array([1.0]))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_zero_interaction_diagonal(self):
         p = make_params(3, [(), (), ()], mu=[1.0, 2.0, 4.0], beta=2.0)
         sigma = stationary_covariance(p, stationary_mean(p))

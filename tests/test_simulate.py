@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,7 +367,7 @@ def test_event_csv_round_trip(tmp_path):
     # second write is byte-identical
     path2 = str(tmp_path / "e2.csv")
     write_events_csv(back, path2, str(tmp_path / "e2.meta.json"))
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
 
 
 @pytest.mark.parametrize("node", ["2", "9", "-1", "x", "1.5"])
@@ -416,15 +418,13 @@ def test_event_csv_round_trip_is_bit_exact(log):
             log.d, log.t_start, log.t_end, log.seed, log.method)
         for x, y in zip(back.events, log.events):
             assert x.dtype == np.float64 and x.tobytes() == y.tobytes()
-        # The row-by-row parser, which names bad lines, reads the same rows.
-        with open(path, newline="") as f:
-            body = f.read().split("\n", 1)[1]
-        nodes, times = simulate._parse_rows_one_by_one(path, body, log.d, log.t_start, log.t_end)
-        fast = simulate._parse_rows(body.encode(), log.d, log.t_start, log.t_end)
-        if log.total_events() == 0:
-            assert fast is None and nodes.size == 0
-        else:  # the whole-column parser takes every file the writer writes
-            assert np.array_equal(fast[0], nodes) and fast[1].tobytes() == times.tobytes()
+        # The whole-column parser takes every row the writer writes.
+        with open(path, "rb") as f:
+            body = f.read().split(b"\n", 1)[1]
+        nodes, times = simulate._parse_rows(body, log.d, log.t_start, log.t_end)
+        assert nodes.size == log.total_events()
+        for v, ts in enumerate(log.events):
+            assert times[nodes == v].tobytes() == ts.tobytes()
         path2 = os.path.join(tmp, "e2.csv")
         write_events_csv(back, path2, os.path.join(tmp, "e2.meta.json"))
         with open(path, "rb") as a, open(path2, "rb") as b:
@@ -479,19 +479,51 @@ def test_event_csv_reads_lone_cr_line_ends(tmp_path):
     assert back.events[0].tolist() == [0.25] and back.events[1].tolist() == [0.5]
 
 
-def test_event_csv_read_peak_memory_is_a_few_file_sizes(tmp_path):
+def _d40_event_csv(tmp_path):
     # The log of the screening memory test: d=40, T=1000.
     params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
                                     mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
     path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
     write_events_csv(simulate_cluster(params, T=1000.0, seed=5), path, meta)
+    return path, meta
+
+
+def _read_peak(read):
+    """tracemalloc's peak while `read()` runs."""
     tracemalloc.start()
     try:
-        read_events_csv(path, meta)
-        _, peak = tracemalloc.get_traced_memory()
+        read()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * os.path.getsize(path)
+
+
+def test_event_csv_read_peak_memory_is_a_few_file_sizes(tmp_path):
+    path, meta = _d40_event_csv(tmp_path)
+    assert _read_peak(lambda: read_events_csv(path, meta)) < 4 * os.path.getsize(path)
+
+
+def test_event_csv_bad_last_row_peak_memory_is_a_few_file_sizes(tmp_path):
+    path, meta = _d40_event_csv(tmp_path)
+    with open(path, "a", newline="") as f:
+        f.write("1,x\r\n")
+
+    def read():
+        with pytest.raises(ValueError, match=r"e\.csv:\d+: .*'1,x'"):
+            read_events_csv(path, meta)
+
+    assert _read_peak(read) < 4 * os.path.getsize(path)
+
+
+def test_event_csv_quoted_read_peak_memory_is_a_few_file_sizes(tmp_path):
+    path, meta = _d40_event_csv(tmp_path)
+    want = read_events_csv(path, meta)
+    quoted = tmp_path / "q.csv"
+    quoted.write_bytes(re.sub(rb"([^,\r\n]+)", rb'"\1"', Path(path).read_bytes()))
+    back = read_events_csv(str(quoted), meta)
+    for x, y in zip(back.events, want.events):
+        assert x.tobytes() == y.tobytes()
+    assert _read_peak(lambda: read_events_csv(str(quoted), meta)) < 4 * quoted.stat().st_size
 
 
 def _write_with_row(tmp_path, row):

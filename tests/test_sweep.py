@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,4 +194,4 @@ def test_results_csv_round_trip(tmp_path):
     assert back == cells
     p2 = str(tmp_path / "b.csv")
     write_results_csv(back, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
