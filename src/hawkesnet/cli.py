@@ -42,7 +42,11 @@ EXIT_SIM_CAP = 3
 def _load_model(path: str):
     """Read a model file and reject it unless it lies in the subcritical class."""
     with open(path) as f:
-        params = params_from_json(f.read())
+        text = f.read()
+    try:
+        params = params_from_json(text)
+    except ValueError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
     violations = validate(params)
     if violations:
         first = violations[0]

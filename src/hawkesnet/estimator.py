@@ -58,27 +58,22 @@ class EstimatorConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # false for NaN
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
 
     @classmethod
-    def auto(
-        cls,
-        alpha: float,
-        w_minus: float,
-        k: int,
-        A_h: float = 1.0,
-        A_R: float = 1.0,
-    ) -> "EstimatorConfig":
+    def auto(cls, alpha: float, w_minus: float, k: int) -> "EstimatorConfig":
         """Schedule h ~ alpha^2, R ~ 1/alpha, m = 2k, tau = alpha*w_minus*h/2."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
         if not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-        h = A_h * alpha * alpha  # overflows to inf, which __post_init__ rejects
+        h = alpha * alpha  # overflows to inf, which __post_init__ rejects
         return cls(
             h=h,
-            R=max(1.0, A_R / alpha),
+            R=max(1.0, 1.0 / alpha),
             m=2 * k,
             tau=alpha * w_minus * h / 2.0,
         )

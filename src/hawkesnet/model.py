@@ -90,6 +90,8 @@ class SparseInteractionMatrix:
         """Build from (target i, source j, weight) triples."""
         rows: list[list[tuple[int, float]]] = [[] for _ in range(d)]
         for i, j, w in entries:
+            if not 0 <= i < d:
+                raise ValueError(f"target index {i} out of range")
             rows[i].append((j, float(w)))
         return SparseInteractionMatrix(
             d=d, rows=tuple(tuple(sorted(row)) for row in rows)
@@ -101,7 +103,8 @@ class HawkesParams:
     """A Hawkes instance together with its class bounds.
 
     ``mu_minus``/``mu_plus`` are optional background-rate bounds; when
-    absent the rate-bound check is skipped (only positivity is enforced).
+    absent the rate-bound check is skipped (only a positive, finite rate
+    is enforced).
     """
 
     mu: np.ndarray
@@ -163,8 +166,8 @@ def validate(params: HawkesParams) -> list[Violation]:
     lo = params.mu_minus
     hi = params.mu_plus
     for i, mu_i in enumerate(params.mu):
-        if mu_i <= 0:
-            out.append(Violation("rate-bound", i, f"mu[{i}]={mu_i} not positive"))
+        if not 0 < mu_i < np.inf:  # false for NaN
+            out.append(Violation("rate-bound", i, f"mu[{i}]={mu_i} not positive and finite"))
         elif lo is not None and mu_i < lo:
             out.append(Violation("rate-bound", i, f"mu[{i}]={mu_i} < mu_minus={lo}"))
         elif hi is not None and mu_i > hi:
@@ -331,22 +334,46 @@ def params_to_json(params: HawkesParams) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _json_number(value, name: str, integer: bool = False):
+    """Return value if it is a JSON number (an integer if asked); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"model field {name} must be {kind}, got {value!r}")
+    return value
+
+
+def _optional_number(doc: dict, name: str):
+    value = doc.get(name)
+    return None if value is None else _json_number(value, name)
+
+
 def params_from_json(text: str) -> HawkesParams:
+    """Parse a model document; a missing or mistyped field is a ValueError naming it."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
     try:
+        edges, mu = doc["edges"], doc["mu"]
+        if not (isinstance(edges, list) and all(isinstance(e, dict) for e in edges)):
+            raise ValueError("model field edges must be a list of objects")
+        if not isinstance(mu, list):
+            raise ValueError("model field mu must be a list of numbers")
         theta = SparseInteractionMatrix.from_entries(
-            doc["d"], [(e["i"], e["j"], e["w"]) for e in doc["edges"]]
+            _json_number(doc["d"], "d", integer=True),
+            [(_json_number(e["i"], "edges.i", integer=True),
+              _json_number(e["j"], "edges.j", integer=True),
+              _json_number(e["w"], "edges.w")) for e in edges],
         )
         return HawkesParams(
-            mu=np.asarray(doc["mu"], dtype=float),
+            mu=np.asarray([_json_number(x, "mu") for x in mu], dtype=float),
             theta=theta,
-            beta=doc["beta"],
-            k=doc["k"],
-            alpha=doc["alpha"],
-            w_minus=doc["w_minus"],
-            w_plus=doc["w_plus"],
-            mu_minus=doc.get("mu_minus"),
-            mu_plus=doc.get("mu_plus"),
+            beta=_json_number(doc["beta"], "beta"),
+            k=_json_number(doc["k"], "k", integer=True),
+            alpha=_json_number(doc["alpha"], "alpha"),
+            w_minus=_json_number(doc["w_minus"], "w_minus"),
+            w_plus=_json_number(doc["w_plus"], "w_plus"),
+            mu_minus=_optional_number(doc, "mu_minus"),
+            mu_plus=_optional_number(doc, "mu_plus"),
         )
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc

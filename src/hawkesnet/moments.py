@@ -1,13 +1,14 @@
-"""Closed-form / fixed-point stationary quantities of a stable Hawkes model.
+"""Closed-form stationary quantities of a stable Hawkes model.
 
 These serve as ground truth in tests: the stationary mean m solving
 (beta*I - Theta) m = mu in one linear solve, the stationary covariance
-Sigma of the state X(0) solving the entrywise Lyapunov equation
+Sigma of the state X(0) solving the continuous Lyapunov equation
 
-    2*beta*Sigma = Theta Sigma + Sigma Theta^T + diag(beta*m),
+    (Theta - beta*I) Sigma + Sigma (Theta - beta*I)^T = -diag(beta*m)
 
-the population screening scores G_ij = Cov(X_j(0), lambda_i(0)), and the
-aggregated-parent second moment used by the information lower bound.
+in one Bartels-Stewart solve, the population screening scores
+G_ij = Cov(X_j(0), lambda_i(0)), and the aggregated-parent second moment
+used by the information lower bound.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .model import HawkesParams, TrueSupport
 
 __all__ = [
-    "ConvergenceError",
     "StationaryMoments",
     "stationary_mean",
     "stationary_covariance",
@@ -28,14 +29,6 @@ __all__ = [
     "screening_gap",
     "c_path",
 ]
-
-# The covariance fixed point stops once no entry moves by TOL.
-TOL = 1e-12
-MAX_ITER = 10**6
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to converge (gamma too close to 1)."""
 
 
 @dataclass(frozen=True)
@@ -58,25 +51,16 @@ def stationary_mean(params: HawkesParams) -> np.ndarray:
 
 
 def stationary_covariance(params: HawkesParams, m: np.ndarray) -> np.ndarray:
-    """Fixed-point solve of the entrywise Lyapunov equation.
+    """Solve (Theta - beta*I) Sigma + Sigma (Theta - beta*I)^T = -diag(beta*m).
 
-    Sigma <- (Theta Sigma + Sigma Theta^T + diag(beta*m)) / (2*beta),
-    started at zero; the map contracts with factor at most gamma.
+    Theta - beta*I is stable for gamma < 1, so the solution is unique and
+    its cost does not grow as gamma approaches 1.
     """
     _require_subcritical(params)
-    theta = params.theta.to_dense()
-    beta = params.beta
-    source = np.diag(beta * np.asarray(m))
-    sigma = np.zeros_like(source)
-    for _ in range(MAX_ITER):
-        sigma_next = (theta @ sigma + sigma @ theta.T + source) / (2.0 * beta)
-        if np.max(np.abs(sigma_next - sigma)) < TOL:
-            # enforce exact symmetry against fp drift
-            return 0.5 * (sigma_next + sigma_next.T)
-        sigma = sigma_next
-    raise ConvergenceError(
-        f"stationary covariance did not converge in {MAX_ITER} iterations"
-    )
+    a = params.theta.to_dense() - params.beta * np.eye(params.d)
+    sigma = solve_continuous_lyapunov(a, -np.diag(params.beta * np.asarray(m)))
+    # enforce exact symmetry against fp drift
+    return 0.5 * (sigma + sigma.T)
 
 
 def stationary_moments(params: HawkesParams) -> StationaryMoments:

@@ -40,7 +40,8 @@ __all__ = [
     "read_events_csv",
 ]
 
-DEFAULT_MAX_EVENTS = 10**8
+# Event-count safety cap of both simulators; read at call time.
+MAX_EVENTS = 10**8
 # Pre-window extension for the cluster construction: roots older than this
 # contribute at most e^{-40} of an in-window cluster.
 TAU_EXTEND_OVER_BETA = 40.0
@@ -119,7 +120,6 @@ def simulate_thinning(
     T: float,
     burn_in: float | None = None,
     seed: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
     check_bound: bool = False,
 ) -> EventLog:
     """Exact simulation by thinning against the aggregated intensity bound.
@@ -179,9 +179,9 @@ def simulate_thinning(
             S += col_sums[node]
             times.append(t)
             nodes.append(node)
-            if len(times) > max_events:
+            if len(times) > MAX_EVENTS:
                 raise SimulationCapError(
-                    f"thinning exceeded {max_events} events (gamma={params.gamma})"
+                    f"thinning exceeded {MAX_EVENTS} events (gamma={params.gamma})"
                 )
 
     return _log_from_flat(params.d, times, nodes, -float(burn_in), float(T), seed, "thinning")
@@ -192,7 +192,6 @@ def simulate_cluster(
     T: float,
     burn_in: float | None = None,
     seed: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> EventLog:
     """Branching-cascade simulation via the cluster representation.
 
@@ -236,9 +235,9 @@ def simulate_cluster(
 
     while cur_times.size:
         total += cur_times.size
-        if total > max_events:
+        if total > MAX_EVENTS:
             raise SimulationCapError(
-                f"cluster simulation exceeded {max_events} events (gamma={params.gamma})"
+                f"cluster simulation exceeded {MAX_EVENTS} events (gamma={params.gamma})"
             )
         all_times.append(cur_times)
         all_types.append(cur_types)

@@ -69,6 +69,19 @@ class SweepSpec:
     T_bracket: tuple[float, float] = (25.0, 400.0)
 
     def __post_init__(self):
+        # JSON gives bools, floats and strings where counts and rates belong.
+        integers = [(name, getattr(self, name)) for name in ("trials", "k", "jobs", "base_seed")]
+        for name, value in integers + [("d_values", d) for d in self.d_values]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0 < value < math.inf:  # false for NaN
+                raise SpecError(f"{name} must be a positive finite number, got {value!r}")
+        for lo, hi in (("w_minus", "w_plus"), ("mu_minus", "mu_plus")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise SpecError(f"{lo} must not exceed {hi}")
         if self.trials < 1:
             raise SpecError("trials must be >= 1")
         if not 0.0 < self.success_level < 1.0:

@@ -1,11 +1,14 @@
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
-from hawkesnet.cli import EXIT_SPEC_ERROR, main
-from hawkesnet.model import params_to_json, sample_random_instance
+from hawkesnet import simulate
+from hawkesnet.cli import EXIT_SIM_CAP, EXIT_SPEC_ERROR, main
+from hawkesnet.model import params_from_json, params_to_json, sample_random_instance
+from hawkesnet.simulate import SimulationCapError
 from hawkesnet.sweep import SweepSpec, read_results_csv
 
 
@@ -111,12 +114,36 @@ def test_fano_curve_rejects_non_finite_endpoint(tmp_path, capsys, curve):
     assert not out.exists()
 
 
-def test_bad_model_file_exits_2(tmp_path):
+# A model in the class; the bad-model cases below change one field of it.
+GOOD_MODEL = {
+    "d": 2, "beta": 1.0, "mu": [1.0, 1.0], "edges": [{"i": 0, "j": 1, "w": 0.3}],
+    "k": 1, "alpha": 0.3, "w_minus": 1.0, "w_plus": 1.0,
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"d": 2, "beta": -1}, "missing field", id="missing-fields"),
+    pytest.param([GOOD_MODEL], "JSON object", id="array"),
+    pytest.param({**GOOD_MODEL, "d": 4.0}, "field d ", id="float-d"),
+    pytest.param({**GOOD_MODEL, "edges": [{"i": 0.5, "j": 1, "w": 0.3}]}, "field edges.i ",
+                 id="float-edge-i"),
+    pytest.param({**GOOD_MODEL, "edges": [{"i": -1, "j": 1, "w": 0.3}]}, "index -1",
+                 id="negative-edge-i"),
+    pytest.param({**GOOD_MODEL, "beta": "1"}, "field beta ", id="string-beta"),
+    pytest.param({**GOOD_MODEL, "mu": {"0": 1.0, "1": 1.0}}, "field mu ", id="object-mu"),
+    pytest.param({**GOOD_MODEL, "edges": [[0, 1, 0.3]]}, "field edges ", id="array-edge"),
+])
+def test_bad_model_file_exits_2(tmp_path, capsys, command, doc, message):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"d": 2, "beta": -1}')
-    rc = main(["simulate", "--model", str(bad), "--T", "10", "--seed", "0",
-               "--out", str(tmp_path / "e.csv")])
-    assert rc == EXIT_SPEC_ERROR
+    bad.write_text(json.dumps(doc))
+    args = {"simulate": ["simulate", "--model", str(bad), "--T", "10", "--seed", "0",
+                         "--out", str(tmp_path / "e.csv")],
+            "oracle": ["oracle", "--model", str(bad)]}[command]
+    assert main(args) == EXIT_SPEC_ERROR
+    err = _one_line_error(capsys)
+    assert "bad.json" in err and message in err
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_sweep_grid_mode(tmp_path):
@@ -133,12 +160,38 @@ def test_sweep_grid_mode(tmp_path):
     assert [(c.d, c.T) for c in cells] == [(4, 20.0), (4, 40.0)]
 
 
-def test_sweep_bad_spec_exits_2(tmp_path):
+def _spec_doc(**overrides):
+    doc = json.loads(SweepSpec(
+        d_values=(4,), trials=3, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
+        mu_minus=1.0, mu_plus=1.0, beta=1.0, base_seed=5, T_values=(20.0,),
+    ).to_json())
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({"d_values": [4], "trials": 0}, "missing", id="missing-fields"),
+    pytest.param(_spec_doc(trials=0), "trials", id="trials-0"),
+    pytest.param(_spec_doc(trials=1.5), "trials", id="trials-float"),
+    pytest.param(_spec_doc(d_values=[4.5]), "d_values", id="d-float"),
+    pytest.param(_spec_doc(k=1.5), "k ", id="k-float"),
+    pytest.param(_spec_doc(jobs=1.5), "jobs", id="jobs-float"),
+    pytest.param(_spec_doc(estimator={"h": 0.09, "R": 4.0, "m": 2.5, "tau": 0.01}), "m ",
+                 id="estimator-m-float"),
+    pytest.param(_spec_doc(mu_minus=math.nan), "mu_minus", id="mu-minus-nan"),
+    pytest.param(_spec_doc(w_minus=math.nan), "w_minus", id="w-minus-nan"),
+    pytest.param(_spec_doc(w_plus=math.nan), "w_plus", id="w-plus-nan"),
+    pytest.param(_spec_doc(alpha=math.nan), "alpha", id="alpha-nan"),
+    pytest.param(_spec_doc(w_minus=2.0), "w_minus must not exceed w_plus", id="w-reversed"),
+])
+def test_sweep_bad_spec_exits_2(tmp_path, capsys, doc, field):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text('{"d_values": [4], "trials": 0}')
-    rc = main(["sweep", "--spec", str(spec_path),
-               "--out", str(tmp_path / "r.csv")])
+    spec_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    rc = main(["sweep", "--spec", str(spec_path), "--out", str(out)])
     assert rc == EXIT_SPEC_ERROR
+    assert field in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def _recover_args(events, out):
@@ -220,21 +273,36 @@ def test_sweep_spec_names_missing_fields(tmp_path, capsys):
     assert "positional" not in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "oracle"])
-def test_supercritical_model_rejected_before_running(tmp_path, capsys, command):
-    # one self-loop of weight 3 at beta=1: gamma = 3
+# One self-loop of weight 3 at beta=1: gamma = 3.
+SUPERCRITICAL = {**GOOD_MODEL, "edges": [{"i": 0, "j": 0, "w": 3.0}], "alpha": 3.0}
+
+
+def _outside_class_cases():
+    """(id prefix, model document, expected violation code)."""
+    yield "", SUPERCRITICAL, "subcritical"
+    # NaN compares false with everything and Infinity exceeds only mu_plus:
+    # a positivity check alone passes both.
+    for tag, mu in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf)):
+        yield f"mu-{tag}-", {**GOOD_MODEL, "mu": [mu, 1.0]}, "rate-bound"
+        yield (f"mu-{tag}-bounded-", {**GOOD_MODEL, "mu": [mu, 1.0], "mu_minus": 0.5,
+                                      "mu_plus": 1.5}, "rate-bound")
+
+
+@pytest.mark.parametrize("command, doc, code", [
+    pytest.param(command, doc, code, id=f"{tag}{command}")
+    for tag, doc, code in _outside_class_cases()
+    for command in ("simulate", "oracle")
+])
+def test_supercritical_model_rejected_before_running(tmp_path, capsys, command, doc, code):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps({
-        "d": 2, "beta": 1.0, "mu": [1.0, 1.0], "edges": [{"i": 0, "j": 0, "w": 3.0}],
-        "k": 1, "alpha": 3.0, "w_minus": 1.0, "w_plus": 1.0,
-    }))
+    model.write_text(json.dumps(doc))
     args = {"simulate": ["simulate", "--model", str(model), "--T", "100", "--seed", "0",
                          "--out", str(tmp_path / "e.csv")],
             "oracle": ["oracle", "--model", str(model)]}[command]
     t0 = time.perf_counter()
     assert main(args) == EXIT_SPEC_ERROR
     assert time.perf_counter() - t0 < 1.0
-    assert "subcritical" in _one_line_error(capsys)
+    assert f"first: {code}:" in _one_line_error(capsys)
     assert not (tmp_path / "e.csv").exists()
 
 
@@ -285,7 +353,7 @@ def test_event_rows_only_python_reads_exit_2(tmp_path, model_file, capsys, row):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("d", True), ("t_end", "50"), ("t_start", "-10"), ("t_end", float("nan")),
+    ("d", True), ("t_end", "50"), ("t_start", "-10"), ("t_end", math.nan),
 ])
 def test_bad_side_car_exits_2(tmp_path, model_file, capsys, field, value):
     events = _simulated_events(tmp_path, model_file)
@@ -356,3 +424,21 @@ def test_recover_rejects_bad_auto_schedule(tmp_path, model_file, capsys, flag, v
     assert main(args) == EXIT_SPEC_ERROR
     assert message in _one_line_error(capsys)
     assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("method", ["thinning", "cluster"])
+def test_event_cap_aborts_simulation_with_exit_3(tmp_path, model_file, capsys, monkeypatch,
+                                                 method):
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 10)
+    params = params_from_json(Path(model_file).read_text())
+    simulator = {"thinning": simulate.simulate_thinning,
+                 "cluster": simulate.simulate_cluster}[method]
+    with pytest.raises(SimulationCapError, match="exceeded 10 events"):
+        simulator(params, 20.0, seed=1)
+    out = tmp_path / "e.csv"
+    rc = main(["simulate", "--model", model_file, "--T", "20", "--seed", "1",
+               "--method", method, "--out", str(out)])
+    assert rc == EXIT_SIM_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -50,6 +50,9 @@ class TestConfig:
             EstimatorConfig(h=0.0, R=1.0, m=1, tau=0.1)
         with pytest.raises(ValueError):
             EstimatorConfig(h=0.1, R=1.0, m=0, tau=0.1)
+        for m in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                EstimatorConfig(h=0.1, R=1.0, m=m, tau=0.1)
 
     @pytest.mark.parametrize("field", ["h", "R", "tau"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])

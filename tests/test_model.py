@@ -56,6 +56,16 @@ class TestValidate:
         assert codes == {"weight-bound", "rate-bound"}
 
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bounds", [{}, {"mu_minus": 0.5, "mu_plus": 1.5}],
+                             ids=["unbounded", "bounded"])
+    def test_non_finite_rate_flags_rate_bound(self, mu, bounds):
+        params = HawkesParams(
+            mu=np.array([mu, 1.0]), theta=SparseInteractionMatrix(d=2, rows=((), ())),
+            beta=1.0, k=1, alpha=0.1, w_minus=1.0, w_plus=1.0, **bounds,
+        )
+        assert [(v.code, v.where) for v in validate(params)] == [("rate-bound", 0)]
+
     def test_nonpositive_beta_is_not_subcritical(self):
         for beta in (0.0, -1.0):
             violations = validate(scalar_params(0.5, beta=beta))

@@ -36,6 +36,12 @@ def random_instance(d, seed, alpha=0.2, k=2, beta=1.0):
                                   mu_minus=0.5, mu_plus=1.5, beta=beta, seed=seed)
 
 
+def near_critical_instance(gamma, d, seed):
+    # k=2 parents of weight alpha=gamma/2 each: every row sums to gamma.
+    return sample_random_instance(d=d, k=2, alpha=gamma / 2, w_minus=1.0, w_plus=1.0,
+                                  mu_minus=0.5, mu_plus=1.5, beta=1.0, seed=seed)
+
+
 def dense_mean(params):
     theta = params.theta.to_dense()
     return np.linalg.solve(params.beta * np.eye(params.d) - theta, params.mu)
@@ -88,7 +94,7 @@ class TestStationaryMean:
 
 class TestStationaryCovariance:
     def test_rejects_gamma_at_or_above_one(self):
-        # Without the check the fixed point diverges for all MAX_ITER sweeps.
+        # Theta - beta*I is unstable here, so no stationary covariance exists.
         p = make_params(1, [((0, 3.0),)], mu=[1.0], alpha=1.0)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="gamma < 1"):
@@ -108,8 +114,11 @@ class TestStationaryCovariance:
         assert sigma[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_matches_dense_solve(self):
-        for seed in range(20):
-            p = random_instance(d=6, seed=seed)
+        instances = [random_instance(d=6, seed=seed) for seed in range(20)] + [
+            near_critical_instance(gamma, d=6, seed=seed)
+            for gamma in (0.9, 0.99) for seed in range(20)
+        ]
+        for p in instances:
             m = stationary_mean(p)
             sigma = stationary_covariance(p, m)
             assert np.max(np.abs(sigma - dense_lyapunov(p, m))) < 1e-8
@@ -121,13 +130,14 @@ class TestStationaryCovariance:
         assert np.min(np.linalg.eigvalsh(sigma)) > -1e-12
 
     def test_lyapunov_residual(self):
-        p = random_instance(d=7, seed=9)
-        m = stationary_mean(p)
-        sigma = stationary_covariance(p, m)
-        theta = p.theta.to_dense()
-        resid = (2 * p.beta * sigma - theta @ sigma - sigma @ theta.T
-                 - np.diag(p.beta * m))
-        assert np.max(np.abs(resid)) < 1e-10
+        for p in [random_instance(d=7, seed=9), near_critical_instance(0.9, d=7, seed=9),
+                  near_critical_instance(0.99, d=7, seed=9)]:
+            m = stationary_mean(p)
+            sigma = stationary_covariance(p, m)
+            theta = p.theta.to_dense()
+            resid = (2 * p.beta * sigma - theta @ sigma - sigma @ theta.T
+                     - np.diag(p.beta * m))
+            assert np.max(np.abs(resid)) < 1e-10
 
     def test_small_alpha_limit(self):
         # diagonal -> mu/(2 beta), off-diagonal -> 0 as alpha -> 0

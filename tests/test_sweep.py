@@ -79,6 +79,18 @@ class TestSpec:
             small_spec(alpha=0.9, k=2)
         with pytest.raises(SpecError):
             SweepSpec.from_json('{"d_values": [4], "trials": 1}')
+        for field, value in [("trials", 1.5), ("d_values", (4.5,)), ("k", 1.5), ("jobs", 1.5),
+                             ("trials", True), ("base_seed", 1.5)]:
+            with pytest.raises(SpecError, match=f"{field} must be an integer"):
+                small_spec(**{field: value})
+        for field in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
+            for value in (math.nan, math.inf, 0.0, "1"):
+                with pytest.raises(SpecError, match=f"{field} must be a positive finite"):
+                    small_spec(**{field: value})
+        with pytest.raises(SpecError, match="w_minus must not exceed w_plus"):
+            small_spec(w_minus=2.0)
+        with pytest.raises(SpecError, match="mu_minus must not exceed mu_plus"):
+            small_spec(mu_minus=2.0)
 
     def test_auto_estimator(self):
         cfg = small_spec().estimator_config()
