@@ -15,13 +15,12 @@ so recover never copies a per-row block of Z.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import TrueSupport
+from .model import TrueSupport, number
 from .simulate import BinnedSample
 
 __all__ = [
@@ -55,21 +54,16 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name in ("h", "R", "tau"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # false for NaN
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise ValueError(f"m must be an integer, got {self.m!r}")
-        if self.m < 1:
+            number(name, getattr(self, name), positive=True)
+        if number("m", self.m, integer=True) < 1:
             raise ValueError("m must be >= 1")
 
     @classmethod
     def auto(cls, alpha: float, w_minus: float, k: int) -> "EstimatorConfig":
         """Schedule h ~ alpha^2, R ~ 1/alpha, m = 2k, tau = alpha*w_minus*h/2."""
-        if k < 1:
+        if number("k", k, integer=True) < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+        number("alpha", alpha, positive=True)
         h = alpha * alpha  # overflows to inf, which __post_init__ rejects
         return cls(
             h=h,

@@ -12,8 +12,9 @@ which makes the reported floor optimistic, i.e. an upper envelope).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .model import number, require_subcritical
 from .moments import c_path
 
 __all__ = ["FanoInputs", "log_n_choose_k", "kl_budget", "fano_error_floor", "critical_time"]
@@ -31,18 +32,18 @@ class FanoInputs:
     c_init_bound: float = 0.0
 
     def __post_init__(self):
+        number("d", self.d, integer=True)
+        if number("k", self.k, integer=True) < 1:
+            raise ValueError(f"need k >= 1, got k={self.k}")
         for name in ("T", "beta", "mu_bar", "mu_bar_star", "theta_minus", "c_init_bound"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            number(name, getattr(self, name), finite=True)
         if self.d < self.k + 2:
             raise ValueError(f"need d >= k+2, got d={self.d}, k={self.k}")
         if min(self.beta, self.mu_bar, self.mu_bar_star, self.theta_minus) <= 0:
             raise ValueError("rates must be positive")
         if self.T < 0 or self.c_init_bound < 0:
             raise ValueError("T and c_init_bound must be nonnegative")
-        if self.k * self.theta_minus / self.beta >= 1.0:
-            raise ValueError("subcriticality violated: k*theta_minus/beta >= 1")
+        require_subcritical(self.k, self.theta_minus, self.beta)
 
 
 def log_n_choose_k(n: int, k: int) -> float:
@@ -52,15 +53,14 @@ def log_n_choose_k(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _kl_rate(inputs: FanoInputs) -> float:
+    """KL accumulated per unit of observation time, (theta_-^2/mu_star) C_path."""
+    return inputs.theta_minus**2 / inputs.mu_bar_star * c_path(inputs.k, inputs.mu_bar, inputs.beta)
+
+
 def kl_budget(inputs: FanoInputs) -> float:
     """Initial-state bound plus the dynamic term (theta_-^2/mu_star) C_path T."""
-    dynamic = (
-        inputs.theta_minus**2
-        / inputs.mu_bar_star
-        * c_path(inputs.k, inputs.mu_bar, inputs.beta)
-        * inputs.T
-    )
-    return inputs.c_init_bound + dynamic
+    return inputs.c_init_bound + _kl_rate(inputs) * inputs.T
 
 
 def fano_error_floor(inputs: FanoInputs) -> float:
@@ -75,20 +75,11 @@ def critical_time(inputs: FanoInputs, target_error: float) -> float:
     Closed-form inversion of the floor in T; requires the target to be
     strictly between 0 and the floor at T = 0 (same c_init_bound).
     """
-    at_zero = fano_error_floor(
-        FanoInputs(
-            d=inputs.d, k=inputs.k, T=0.0, beta=inputs.beta,
-            mu_bar=inputs.mu_bar, mu_bar_star=inputs.mu_bar_star,
-            theta_minus=inputs.theta_minus, c_init_bound=inputs.c_init_bound,
-        )
-    )
+    at_zero = fano_error_floor(replace(inputs, T=0.0))
     if not 0.0 < target_error < at_zero:
         raise ValueError(
             f"target error {target_error} not in (0, floor(0)={at_zero})"
         )
     log_m = log_n_choose_k(inputs.d - 1, inputs.k)
     budget = (1.0 - target_error) * log_m - inputs.c_init_bound - math.log(2.0)
-    rate = inputs.theta_minus**2 / inputs.mu_bar_star * c_path(
-        inputs.k, inputs.mu_bar, inputs.beta
-    )
-    return budget / rate
+    return budget / _kl_rate(inputs)

@@ -10,6 +10,8 @@ weak-interaction class can be checked after the fact.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -160,6 +162,33 @@ class Violation:
     detail: str
 
 
+def number(name: str, value, *, integer: bool = False, positive: bool = False,
+           finite: bool = False):
+    """Return value if it is a number a float can hold; else raise a ValueError naming it.
+
+    A bool is not a number. ``integer`` asks for an int, ``finite`` for a
+    finite value and ``positive`` for a positive finite one.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} is too large for a float")
+    if positive and not 0 < value < math.inf:  # false for NaN
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def require_subcritical(k, theta_plus, beta) -> None:
+    """Raise ValueError unless beta is positive and finite and gamma = k*theta_plus/beta < 1."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"subcriticality needs a positive finite beta, got beta={beta!r}")
+    gamma = k * theta_plus / beta
+    if not gamma < 1.0:
+        raise ValueError(f"subcriticality violated: need gamma < 1, got gamma={gamma}")
+
+
 def validate(params: HawkesParams) -> list[Violation]:
     """Check class membership; returns every violated invariant (never raises)."""
     out: list[Violation] = []
@@ -186,10 +215,10 @@ def validate(params: HawkesParams) -> list[Violation]:
                         f"theta[{i},{j}]={w} outside [{t_lo}, {t_hi}]",
                     )
                 )
-    if not params.beta > 0:
-        out.append(Violation("subcritical", None, f"beta={params.beta} not positive"))
-    elif params.gamma >= 1.0:
-        out.append(Violation("subcritical", None, f"gamma={params.gamma} >= 1"))
+    try:
+        require_subcritical(params.k, params.theta_plus, params.beta)
+    except ValueError as exc:
+        out.append(Violation("subcritical", None, str(exc)))
     return out
 
 
@@ -211,11 +240,7 @@ def sample_random_instance(
     background rates uniform on [mu_minus, mu_plus].  Deterministic in
     ``seed``.
     """
-    if k * alpha * w_plus / beta >= 1.0:
-        raise ValueError(
-            f"subcriticality violated before sampling: k*alpha*w_plus/beta="
-            f"{k * alpha * w_plus / beta} >= 1"
-        )
+    require_subcritical(k, alpha * w_plus, beta)
     if k > d:
         raise ValueError(f"k={k} exceeds d={d}")
     rng = np.random.default_rng(seed)
@@ -261,8 +286,7 @@ def build_subclass_instance(
         raise ValueError(f"support size {len(S)} != k={k}")
     if any(j < 0 or j >= d for j in S):
         raise ValueError("support index out of range")
-    if k * theta_minus / beta >= 1.0:
-        raise ValueError("subcriticality violated: k*theta_minus/beta >= 1")
+    require_subcritical(k, theta_minus, beta)
     rows: list[tuple[tuple[int, float], ...]] = [() for _ in range(d)]
     rows[i_star] = tuple((j, theta_minus) for j in S)
     mu = np.full(d, mu_bar)
@@ -334,19 +358,6 @@ def params_to_json(params: HawkesParams) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _json_number(value, name: str, integer: bool = False):
-    """Return value if it is a JSON number (an integer if asked); a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"model field {name} must be {kind}, got {value!r}")
-    return value
-
-
-def _optional_number(doc: dict, name: str):
-    value = doc.get(name)
-    return None if value is None else _json_number(value, name)
-
-
 def params_from_json(text: str) -> HawkesParams:
     """Parse a model document; a missing or mistyped field is a ValueError naming it."""
     doc = json.loads(text)
@@ -358,22 +369,27 @@ def params_from_json(text: str) -> HawkesParams:
             raise ValueError("model field edges must be a list of objects")
         if not isinstance(mu, list):
             raise ValueError("model field mu must be a list of numbers")
+        # Checked before anything of size d is built.
+        d = number("model field d", doc["d"], integer=True)
+        if not 1 <= d == len(mu):
+            raise ValueError(f"model field d={d} must be >= 1 and match mu's {len(mu)} rates")
         theta = SparseInteractionMatrix.from_entries(
-            _json_number(doc["d"], "d", integer=True),
-            [(_json_number(e["i"], "edges.i", integer=True),
-              _json_number(e["j"], "edges.j", integer=True),
-              _json_number(e["w"], "edges.w")) for e in edges],
+            d,
+            [(number("model field edges.i", e["i"], integer=True),
+              number("model field edges.j", e["j"], integer=True),
+              number("model field edges.w", e["w"])) for e in edges],
         )
         return HawkesParams(
-            mu=np.asarray([_json_number(x, "mu") for x in mu], dtype=float),
+            # NaN and infinite rates pass here, for `validate` to report.
+            mu=np.asarray([number("model field mu", x) for x in mu], dtype=float),
             theta=theta,
-            beta=_json_number(doc["beta"], "beta"),
-            k=_json_number(doc["k"], "k", integer=True),
-            alpha=_json_number(doc["alpha"], "alpha"),
-            w_minus=_json_number(doc["w_minus"], "w_minus"),
-            w_plus=_json_number(doc["w_plus"], "w_plus"),
-            mu_minus=_optional_number(doc, "mu_minus"),
-            mu_plus=_optional_number(doc, "mu_plus"),
+            beta=number("model field beta", doc["beta"]),
+            k=number("model field k", doc["k"], integer=True),
+            alpha=number("model field alpha", doc["alpha"]),
+            w_minus=number("model field w_minus", doc["w_minus"]),
+            w_plus=number("model field w_plus", doc["w_plus"]),
+            **{name: None if doc.get(name) is None else number(f"model field {name}", doc[name])
+               for name in ("mu_minus", "mu_plus")},
         )
     except KeyError as exc:
         raise ValueError(f"model document missing field {exc}") from exc

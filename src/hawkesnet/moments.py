@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .model import HawkesParams, TrueSupport
+from .model import HawkesParams, TrueSupport, require_subcritical
 
 __all__ = [
     "StationaryMoments",
@@ -38,14 +38,9 @@ class StationaryMoments:
     sigma: np.ndarray      # stationary covariance of X(0)
 
 
-def _require_subcritical(params: HawkesParams) -> None:
-    if not params.gamma < 1.0:
-        raise ValueError(f"stationary moments need gamma < 1, got gamma={params.gamma}")
-
-
 def stationary_mean(params: HawkesParams) -> np.ndarray:
     """Solve (beta*I - Theta) m = mu, nonsingular for gamma < 1."""
-    _require_subcritical(params)
+    require_subcritical(params.k, params.theta_plus, params.beta)
     theta = params.theta.to_dense()
     return np.linalg.solve(params.beta * np.eye(params.d) - theta, params.mu)
 
@@ -56,7 +51,7 @@ def stationary_covariance(params: HawkesParams, m: np.ndarray) -> np.ndarray:
     Theta - beta*I is stable for gamma < 1, so the solution is unique and
     its cost does not grow as gamma approaches 1.
     """
-    _require_subcritical(params)
+    require_subcritical(params.k, params.theta_plus, params.beta)
     a = params.theta.to_dense() - params.beta * np.eye(params.d)
     sigma = solve_continuous_lyapunov(a, -np.diag(params.beta * np.asarray(m)))
     # enforce exact symmetry against fp drift

@@ -18,14 +18,13 @@ import csv
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .model import HawkesParams
+from .model import HawkesParams, number
 
 __all__ = [
     "EventLog",
@@ -115,6 +114,15 @@ def default_burn_in(params: HawkesParams) -> float:
     return max(20.0 / beta, 20.0 / (beta * (1.0 - gamma)))
 
 
+def _window(params: HawkesParams, T, burn_in) -> tuple[float, float]:
+    """The kept window [-burn_in, T] of a simulation; burn_in None is the default."""
+    if burn_in is None:
+        burn_in = default_burn_in(params)
+    if number("burn_in", burn_in, finite=True) < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    return -float(burn_in), float(number("T", T, positive=True))
+
+
 def simulate_thinning(
     params: HawkesParams,
     T: float,
@@ -135,10 +143,7 @@ def simulate_thinning(
     intensity densely and raises AssertionError if it exceeds the bound
     or departs from mu_total + S.
     """
-    if burn_in is None:
-        burn_in = default_burn_in(params)
-    if not (0 <= burn_in < math.inf and 0 < T < math.inf):
-        raise ValueError(f"need finite burn_in >= 0 and T > 0, got burn_in={burn_in}, T={T}")
+    t_start, T = _window(params, T, burn_in)
     rng = np.random.default_rng(seed)
     beta = params.beta
     mu = params.mu
@@ -147,7 +152,7 @@ def simulate_thinning(
     col_sums = params.theta.column_sums().tolist()
     mu_total = float(np.sum(mu))
 
-    t = -float(burn_in)
+    t = t_start
     v = np.zeros(params.d)  # theta @ X at the last accepted event
     decay = 1.0  # X's decay since the last accepted event
     S = 0.0  # sum(theta @ X) now
@@ -184,7 +189,7 @@ def simulate_thinning(
                     f"thinning exceeded {MAX_EVENTS} events (gamma={params.gamma})"
                 )
 
-    return _log_from_flat(params.d, times, nodes, -float(burn_in), float(T), seed, "thinning")
+    return _log_from_flat(params.d, times, nodes, t_start, T, seed, "thinning")
 
 
 def simulate_cluster(
@@ -202,15 +207,11 @@ def simulate_cluster(
     breadth-first until exhausted; events outside the kept window are
     discarded at the end.
     """
-    if burn_in is None:
-        burn_in = default_burn_in(params)
-    if not (0 <= burn_in < math.inf and 0 < T < math.inf):
-        raise ValueError(f"need finite burn_in >= 0 and T > 0, got burn_in={burn_in}, T={T}")
+    t_start, T = _window(params, T, burn_in)
     rng = np.random.default_rng(seed)
     beta = params.beta
-    t_keep_lo = -float(burn_in)
-    t_lo = t_keep_lo - TAU_EXTEND_OVER_BETA / beta
-    span = float(T) - t_lo
+    t_lo = t_start - TAU_EXTEND_OVER_BETA / beta
+    span = T - t_lo
 
     # Child edges grouped by source type j: (child type i, mean count K_ij).
     children_of: list[list[tuple[int, float]]] = [[] for _ in range(params.d)]
@@ -269,14 +270,14 @@ def simulate_cluster(
 
     times = np.concatenate(all_times) if all_times else np.empty(0)
     types = np.concatenate(all_types) if all_types else np.empty(0, dtype=np.int64)
-    keep = times >= t_keep_lo
+    keep = times >= t_start
     times, types = times[keep], types[keep]
     per_node = tuple(np.sort(times[types == v]) for v in range(params.d))
     return EventLog(
         d=params.d,
         events=per_node,
-        t_start=t_keep_lo,
-        t_end=float(T),
+        t_start=t_start,
+        t_end=T,
         seed=seed,
         method="cluster",
     )
@@ -318,8 +319,8 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     Grid points are the floats r*h that `state_at` is given, so an event
     is compared with them, not placed by the rounded quotient ts/h.
     """
-    if not (0 < beta < math.inf and 0 < h < math.inf and 0 < R < math.inf):
-        raise ValueError(f"need finite beta > 0, h > 0 and R > 0, got beta={beta}, h={h}, R={R}")
+    for name, value in (("beta", beta), ("h", h), ("R", R)):
+        number(name, value, positive=True)
     T = log.t_end
     n = int(math.floor(T / h))
     if n == 0:
@@ -403,24 +404,19 @@ def _read_meta(meta_path: str) -> tuple[int, dict]:
     with open(meta_path) as f:
         meta = json.load(f)
     try:
-        d, t_start, t_end = meta["d"], meta["t_start"], meta["t_end"]
+        d = number("d", meta["d"], integer=True)
+        t_start = number("t_start", meta["t_start"], finite=True)
+        t_end = number("t_end", meta["t_end"], finite=True)
         seed, method = meta["seed"], meta["method"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{meta_path}: malformed metadata ({exc!r})") from exc
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    if d < 1:
         raise ValueError(f"{meta_path}: d={d!r} is not a positive integer")
-    if not (_is_finite_number(t_start) and _is_finite_number(t_end) and t_start <= 0 < t_end):
-        raise ValueError(
-            f"{meta_path}: need finite numbers t_start <= 0 < t_end, "
-            f"got t_start={t_start!r}, t_end={t_end!r}"
-        )
+    if not t_start <= 0 < t_end:
+        raise ValueError(f"{meta_path}: need t_start <= 0 < t_end, got {t_start!r}, {t_end!r}")
     return d, dict(t_start=float(t_start), t_end=float(t_end), seed=seed, method=method)
-
-
-def _is_finite_number(x) -> bool:
-    """A JSON number, not a bool, that a float holds finitely (false for NaN)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
 
 
 def _parse_rows(body: bytes, d: int, t_start: float, t_end: float):

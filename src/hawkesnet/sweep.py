@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorConfig, evaluate, recover
-from .model import sample_random_instance, support_of
+from .model import number, require_subcritical, sample_random_instance, support_of
 from .seeding import mix64, trial_seed
 from .simulate import bin_and_clip, simulate_cluster, simulate_thinning
 
@@ -41,6 +41,13 @@ __all__ = [
     "write_thresholds_csv",
     "write_fit_json",
 ]
+
+# z of the two-sided 95% normal quantile, for the Wilson interval.
+WILSON_Z = 1.959963984540054
+# Doublings (halvings) of the bracket's high (low) end before giving up.
+MAX_BRACKET_EXPANSIONS = 12
+# Even grid points of the re-scan after non-monotone rates.
+RESCAN_POINTS = 9
 
 
 class SpecError(ValueError):
@@ -69,33 +76,34 @@ class SweepSpec:
     T_bracket: tuple[float, float] = (25.0, 400.0)
 
     def __post_init__(self):
-        # JSON gives bools, floats and strings where counts and rates belong.
-        integers = [(name, getattr(self, name)) for name in ("trials", "k", "jobs", "base_seed")]
-        for name, value in integers + [("d_values", d) for d in self.d_values]:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(f"{name} must be an integer, got {value!r}")
-        for name in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 < value < math.inf:  # false for NaN
-                raise SpecError(f"{name} must be a positive finite number, got {value!r}")
-        for lo, hi in (("w_minus", "w_plus"), ("mu_minus", "mu_plus")):
-            if getattr(self, lo) > getattr(self, hi):
-                raise SpecError(f"{lo} must not exceed {hi}")
-        if self.trials < 1:
-            raise SpecError("trials must be >= 1")
-        if not 0.0 < self.success_level < 1.0:
-            raise SpecError("success_level must be in (0, 1)")
-        if any(t <= 0 for t in self.T_values):
-            raise SpecError("T values must be positive")
-        if list(self.T_values) != sorted(self.T_values):
-            raise SpecError("T values must be ascending")
-        if self.method not in ("cluster", "thinning"):
-            raise SpecError(f"unknown method {self.method!r}")
-        if self.jobs < 1:
-            raise SpecError("jobs must be >= 1")
-        if self.k * self.alpha * self.w_plus / self.beta >= 1.0:
-            raise SpecError("spec violates subcriticality")
+        # JSON gives bools, floats, strings and nulls where counts and rates belong.
+        try:
+            for name in ("trials", "k", "jobs", "base_seed"):
+                number(name, getattr(self, name), integer=True)
+            for d in self.d_values:
+                number("d_values", d, integer=True)
+            for name in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
+                number(name, getattr(self, name), positive=True)
+            if len(self.T_bracket) != 2:
+                raise ValueError(f"T_bracket must be two numbers, got {self.T_bracket!r}")
+            for name, ts in (("T_values", self.T_values), ("T_bracket", self.T_bracket)):
+                if [number(name, T, positive=True) for T in ts] != sorted(ts):
+                    raise ValueError(f"{name} must be ascending, got {ts!r}")
+            if self.burn_in is not None and number("burn_in", self.burn_in, finite=True) < 0:
+                raise ValueError(f"burn_in must be >= 0, got {self.burn_in!r}")
+            for lo, hi in (("w_minus", "w_plus"), ("mu_minus", "mu_plus")):
+                if getattr(self, lo) > getattr(self, hi):
+                    raise ValueError(f"{lo} must not exceed {hi}")
+            for name in ("trials", "k", "jobs"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1")
+            if not 0.0 < number("success_level", self.success_level) < 1.0:
+                raise ValueError("success_level must be in (0, 1)")
+            if self.method not in ("cluster", "thinning"):
+                raise ValueError(f"unknown method {self.method!r}")
+            require_subcritical(self.k, self.alpha * self.w_plus, self.beta)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
 
     def estimator_config(self) -> EstimatorConfig:
         if self.estimator is not None:
@@ -122,7 +130,7 @@ class SweepSpec:
                 estimator=None if est is None else EstimatorConfig(**est),
                 **doc,
             )
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from exc
 
     def to_json(self) -> str:
@@ -172,8 +180,9 @@ class SweepResult:
     fit: Optional[LogFit] = None
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial rate."""
+    z = WILSON_Z
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = successes / trials
@@ -221,7 +230,6 @@ def estimate_threshold_time(
     d: int,
     spec: SweepSpec,
     rate_fn: Optional[Callable[[float], CellResult]] = None,
-    max_expansions: int = 12,
 ) -> ThresholdEstimate:
     """Bisect on T for the Monte-Carlo rate crossing spec.success_level.
 
@@ -242,7 +250,7 @@ def estimate_threshold_time(
         return cells[T].rate
 
     t_lo, t_hi = spec.T_bracket
-    for _ in range(max_expansions):
+    for _ in range(MAX_BRACKET_EXPANSIONS):
         if rate(t_hi) >= level:
             break
         t_hi *= 2.0
@@ -250,7 +258,7 @@ def estimate_threshold_time(
         raise RuntimeError(
             f"rate never reached {level} up to T={t_hi} for d={d}"
         )
-    for _ in range(max_expansions):
+    for _ in range(MAX_BRACKET_EXPANSIONS):
         if rate(t_lo) < level:
             break
         t_lo /= 2.0
@@ -288,9 +296,9 @@ def _monotonicity_violated(cells: dict[float, CellResult], level: float) -> bool
     return False
 
 
-def _grid_rescan(cells, rate, level, points: int = 9) -> tuple[float, float]:
+def _grid_rescan(cells, rate, level) -> tuple[float, float]:
     ts = sorted(cells)
-    grid = np.linspace(ts[0], ts[-1], points)
+    grid = np.linspace(ts[0], ts[-1], RESCAN_POINTS)
     t_lo, t_hi = ts[0], ts[-1]
     for T in grid:
         T = float(T)

@@ -106,6 +106,18 @@ def test_fano_rejects_non_finite_input(capsys, flag, value):
     assert "must be finite" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param("--d", "1" + "0" * 400, "d is too large for a float", id="d-401-digits"),
+    pytest.param("--k", "1" + "0" * 400, "k is too large for a float", id="k-401-digits"),
+    pytest.param("--k", "0", "need k >= 1", id="k-0"),
+])
+def test_fano_rejects_bad_count(capsys, flag, value, message):
+    args = list(FANO_ARGS)
+    args[args.index(flag) + 1] = value
+    assert main(args) == EXIT_SPEC_ERROR
+    assert message in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("curve", ["nan:10:5", "0:nan:5", "0:inf:5", "-inf:10:5"])
 def test_fano_curve_rejects_non_finite_endpoint(tmp_path, capsys, curve):
     out = tmp_path / "curve.csv"
@@ -133,6 +145,13 @@ GOOD_MODEL = {
     pytest.param({**GOOD_MODEL, "beta": "1"}, "field beta ", id="string-beta"),
     pytest.param({**GOOD_MODEL, "mu": {"0": 1.0, "1": 1.0}}, "field mu ", id="object-mu"),
     pytest.param({**GOOD_MODEL, "edges": [[0, 1, 0.3]]}, "field edges ", id="array-edge"),
+    # Integers a float cannot hold: 401 digits.
+    pytest.param({**GOOD_MODEL, "beta": 10**400}, "field beta is too large for a float",
+                 id="huge-beta"),
+    pytest.param({**GOOD_MODEL, "mu_plus": 10**400}, "field mu_plus is too large for a float",
+                 id="huge-mu-plus"),
+    pytest.param({**GOOD_MODEL, "d": 3}, "match mu's 2 rates", id="d-not-len-mu"),
+    pytest.param({**GOOD_MODEL, "d": 0, "mu": [], "edges": []}, "must be >= 1", id="d-0"),
 ])
 def test_bad_model_file_exits_2(tmp_path, capsys, command, doc, message):
     bad = tmp_path / "bad.json"
@@ -183,6 +202,9 @@ def _spec_doc(**overrides):
     pytest.param(_spec_doc(w_plus=math.nan), "w_plus", id="w-plus-nan"),
     pytest.param(_spec_doc(alpha=math.nan), "alpha", id="alpha-nan"),
     pytest.param(_spec_doc(w_minus=2.0), "w_minus must not exceed w_plus", id="w-reversed"),
+    pytest.param(_spec_doc(beta=10**400), "beta is too large for a float", id="huge-beta"),
+    pytest.param(_spec_doc(T_bracket=[None, None]), "T_bracket", id="bracket-null"),
+    pytest.param(_spec_doc(burn_in="x"), "burn_in", id="burn-in-string"),
 ])
 def test_sweep_bad_spec_exits_2(tmp_path, capsys, doc, field):
     spec_path = tmp_path / "spec.json"

@@ -1,3 +1,7 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +11,11 @@ from hawkesnet.model import (
     HawkesParams,
     SparseInteractionMatrix,
     build_subclass_instance,
+    number,
     params_from_json,
     params_to_json,
     permute_params,
+    require_subcritical,
     sample_random_instance,
     support_of,
     validate,
@@ -205,3 +211,53 @@ def test_sparse_matrix_rejects_malformed_rows():
         SparseInteractionMatrix(d=1, rows=(((0, 0.0),),))
     with pytest.raises(ValueError, match="out of range"):
         SparseInteractionMatrix(d=1, rows=(((1, 0.5),),))
+
+
+@pytest.mark.parametrize("value, kwargs, message", [
+    (True, {}, "x must be a number, got True"),
+    ("1", {}, "x must be a number"),
+    (1.5, {"integer": True}, "x must be an integer"),
+    pytest.param(10**400, {}, "x is too large for a float", id="401-digits"),
+    pytest.param(-10**400, {"integer": True}, "x is too large for a float",
+                 id="minus-401-digits-integer"),
+    (0.0, {"positive": True}, "x must be positive and finite"),
+    (math.inf, {"positive": True}, "x must be positive and finite"),
+    (math.nan, {"positive": True}, "x must be positive and finite"),
+    (-math.inf, {"finite": True}, "x must be finite"),
+    (math.nan, {"finite": True}, "x must be finite"),
+])
+def test_number_rejects(value, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        number("x", value, **kwargs)
+
+
+@pytest.mark.parametrize("value, kwargs", [
+    (math.nan, {}), (-math.inf, {}), (-3, {"integer": True}),
+    pytest.param(2**1000, {}, id="2**1000"),
+    (np.float64(0.5), {"positive": True}), (-1.0, {"finite": True}),
+])
+def test_number_accepts(value, kwargs):
+    assert number("x", value, **kwargs) is value
+
+
+@pytest.mark.parametrize("k, theta_plus, beta", [
+    (2, 0.5, 1.0), (1, 3.0, 1.0), (1, 0.1, 0.0), (1, 0.1, -1.0), (1, 0.1, math.nan),
+    (1, 0.1, math.inf), (1, math.nan, 1.0),
+])
+def test_require_subcritical_rejects(k, theta_plus, beta):
+    with pytest.raises(ValueError, match="subcriticality"):
+        require_subcritical(k, theta_plus, beta)
+
+
+def test_model_size_is_checked_before_allocating():
+    # 150 bytes asking for a million nodes, with two rates.
+    doc = json.dumps({"d": 10**6, "beta": 1.0, "mu": [1.0, 1.0], "edges": [], "k": 1,
+                      "alpha": 0.3, "w_minus": 1.0, "w_plus": 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="d=1000000"):
+            params_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -565,8 +565,7 @@ def test_event_csv_rejects_bad_side_car(tmp_path, field, value):
     doc[field] = value
     with open(meta, "w") as f:
         json.dump(doc, f)
-    named = "d=" if field == "d" else "t_start <= 0 < t_end"
-    with pytest.raises(ValueError, match=r"e\.meta\.json: .*" + named):
+    with pytest.raises(ValueError, match=rf"e\.meta\.json: .*\b{field}\b"):
         read_events_csv(path, meta)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -85,12 +86,32 @@ class TestSpec:
                 small_spec(**{field: value})
         for field in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
             for value in (math.nan, math.inf, 0.0, "1"):
-                with pytest.raises(SpecError, match=f"{field} must be a positive finite"):
+                with pytest.raises(SpecError,
+                                   match=f"{field} must be (a number|positive and finite)"):
                     small_spec(**{field: value})
         with pytest.raises(SpecError, match="w_minus must not exceed w_plus"):
             small_spec(w_minus=2.0)
         with pytest.raises(SpecError, match="mu_minus must not exceed mu_plus"):
             small_spec(mu_minus=2.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("beta", 10**400, "beta is too large for a float", id="beta-401-digits"),
+        ("T_bracket", [None, None], "T_bracket must be a number"),
+        ("T_bracket", [400.0, 25.0], "T_bracket must be ascending"),
+        ("T_bracket", [25.0], "T_bracket must be two numbers"),
+        ("T_bracket", [0.0, 400.0], "T_bracket must be positive and finite"),
+        ("T_bracket", [25.0, math.inf], "T_bracket must be positive and finite"),
+        ("burn_in", "x", "burn_in must be a number"),
+        ("burn_in", -1.0, "burn_in must be >= 0"),
+        ("burn_in", math.nan, "burn_in must be finite"),
+        ("burn_in", math.inf, "burn_in must be finite"),
+        ("k", 0, "k must be >= 1"),
+    ])
+    def test_from_json_rejects_bad_number(self, field, value, message):
+        doc = json.loads(small_spec().to_json())
+        doc[field] = value
+        with pytest.raises(SpecError, match=message):
+            SweepSpec.from_json(json.dumps(doc))
 
     def test_auto_estimator(self):
         cfg = small_spec().estimator_config()
@@ -144,8 +165,7 @@ class TestThresholdEstimation:
     def test_unreachable_level_raises(self):
         spec = small_spec()
         with pytest.raises(RuntimeError, match="never reached"):
-            estimate_threshold_time(4, spec, rate_fn=self.fake_rate_fn(1e9),
-                                    max_expansions=3)
+            estimate_threshold_time(4, spec, rate_fn=self.fake_rate_fn(1e9))
 
     def test_nonmonotone_rates_trigger_rescan(self):
         # confidently above the level at small T, confidently below later;
