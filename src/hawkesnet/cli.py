@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimator import EstimatorConfig, network_to_json, recover
 from .fano import FanoInputs, fano_error_floor
-from .model import params_from_json, support_of, validate
+from .model import number, params_from_json, support_of, validate
 from .moments import population_screening_scores, screening_gap, stationary_moments
 from .simulate import (
     SimulationCapError,
@@ -37,6 +37,8 @@ from .sweep import (
 
 EXIT_SPEC_ERROR = 2
 EXIT_SIM_CAP = 3
+# Most points `fano --curve` writes: about 4 MB of CSV.
+MAX_CURVE_STEPS = 10**5
 
 
 def _load_model(path: str):
@@ -114,11 +116,17 @@ def _cmd_fano(args) -> int:
         )
 
     if args.curve:
-        t0, t1, steps = args.curve.split(":")
-        t0, t1 = float(t0), float(t1)
+        try:
+            t0, t1, steps = args.curve.split(":")
+            t0, t1, steps = float(t0), float(t1), int(steps)
+        except ValueError:
+            raise ValueError(f"--curve takes T0:T1:STEPS, got {args.curve!r}") from None
         for T in (t0, t1):
             inputs(T)  # rejects a bad endpoint before linspace spreads it
-        grid = np.linspace(t0, t1, int(steps))
+        steps = number("STEPS", steps, integer=True)
+        if not 1 <= steps <= MAX_CURVE_STEPS:
+            raise ValueError(f"need 1 <= STEPS <= {MAX_CURVE_STEPS}, got {steps}")
+        grid = np.linspace(t0, t1, steps)
         lines = ["T,error_floor"]
         for T in grid:
             lines.append(

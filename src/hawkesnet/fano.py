@@ -19,6 +19,11 @@ from .moments import c_path
 
 __all__ = ["FanoInputs", "log_n_choose_k", "kl_budget", "fano_error_floor", "critical_time"]
 
+# Largest dimension accepted. log C(d-1, k) as a difference of lgamma values
+# is off by about 1e-16 * d * ln(d): under 1e-7 of it at d = 1e9, all of it
+# from d = 2**53 (it reads 0 there), and lgamma overflows near d = 2.6e305.
+MAX_D = 10**9
+
 
 @dataclass(frozen=True)
 class FanoInputs:
@@ -32,7 +37,8 @@ class FanoInputs:
     c_init_bound: float = 0.0
 
     def __post_init__(self):
-        number("d", self.d, integer=True)
+        if number("d", self.d, integer=True) > MAX_D:
+            raise ValueError(f"need d <= MAX_D = {MAX_D}")
         if number("k", self.k, integer=True) < 1:
             raise ValueError(f"need k >= 1, got k={self.k}")
         for name in ("T", "beta", "mu_bar", "mu_bar_star", "theta_minus", "c_init_bound"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .model import HawkesParams, number
 
@@ -206,6 +206,10 @@ def simulate_cluster(
     children at Exp(beta) forward offsets.  Generations expand
     breadth-first until exhausted; events outside the kept window are
     discarded at the end.
+
+    ``MAX_EVENTS`` caps the events drawn, children born after T included,
+    and is checked before each batch of times is drawn, so an over-cap
+    run raises before it allocates them.
     """
     t_start, T = _window(params, T, burn_in)
     rng = np.random.default_rng(seed)
@@ -221,13 +225,22 @@ def simulate_cluster(
 
     all_times: list[np.ndarray] = []
     all_types: list[np.ndarray] = []
-    total = 0
+    total = 0  # events drawn so far, checked against the cap before each draw of times
+
+    def count(n: int) -> None:
+        nonlocal total
+        total += n
+        if total > MAX_EVENTS:
+            raise SimulationCapError(
+                f"cluster simulation exceeded {MAX_EVENTS} events (gamma={params.gamma})"
+            )
 
     # roots
     cur_times_parts = []
     cur_types_parts = []
     for v in range(params.d):
         n_roots = rng.poisson(params.mu[v] * span)
+        count(n_roots)
         ts = np.sort(t_lo + span * rng.uniform(size=n_roots))
         cur_times_parts.append(ts)
         cur_types_parts.append(np.full(n_roots, v, dtype=np.int64))
@@ -235,11 +248,6 @@ def simulate_cluster(
     cur_types = np.concatenate(cur_types_parts)
 
     while cur_times.size:
-        total += cur_times.size
-        if total > MAX_EVENTS:
-            raise SimulationCapError(
-                f"cluster simulation exceeded {MAX_EVENTS} events (gamma={params.gamma})"
-            )
         all_times.append(cur_times)
         all_types.append(cur_types)
         next_times_parts = []
@@ -255,6 +263,7 @@ def simulate_cluster(
                 n_children = int(counts.sum())
                 if n_children == 0:
                     continue
+                count(n_children)
                 born = np.repeat(parent_ts, counts) + rng.exponential(
                     1.0 / beta, size=n_children
                 )
@@ -325,7 +334,6 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     n = int(math.floor(T / h))
     if n == 0:
         raise ValueError(f"T={T} shorter than one bin h={h}")
-    decay = math.exp(-beta * h)
     # Column-major, so each node's column is one contiguous write.
     Z = np.empty((n, log.d), order="F")
     Y = np.zeros((n, log.d), dtype=np.uint8, order="F")
@@ -339,11 +347,20 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
         first_grid = np.maximum(grid, 0)  # burn-in events pulse at r=0
         in_grid = first_grid <= n - 1
         weights = np.exp(-beta * (first_grid[in_grid] * h - ts[in_grid]))
-        pulses = np.bincount(first_grid[in_grid], weights=weights, minlength=n)
-        # X(rh) = exp(-beta h) X((r-1)h) + pulses[r]
-        x_grid = lfilter([1.0], [1.0, -decay], pulses)
-        np.minimum(x_grid, R, out=Z[:, v])
+        Z[:, v] = np.bincount(first_grid[in_grid], weights=weights, minlength=n)
         Y[grid[(ts > 0.0) & (grid <= n)] - 1, v] = 1
+    # X(rh) = exp(-beta h) X((r-1)h) + pulses[r] for every column at once: the
+    # unit lower bidiagonal system with -exp(-beta h) below the diagonal.
+    band = np.empty((2, n), order="F")
+    band[0] = 1.0
+    band[1] = -math.exp(-beta * h)
+    # Z is F-contiguous float64, so the solve overwrites it without a copy.
+    # No call for d=0: dtbtrs with no right-hand side corrupts the heap.
+    if log.d:
+        Z, info = dtbtrs(band, Z, uplo="L", diag="U", overwrite_b=True)
+        if info != 0:
+            raise RuntimeError(f"dtbtrs failed with info={info}")
+    np.minimum(Z, R, out=Z)
     return BinnedSample(n=n, h=float(h), R=float(R), Z=Z, Y=Y)
 
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -110,6 +114,8 @@ def test_fano_rejects_non_finite_input(capsys, flag, value):
     pytest.param("--d", "1" + "0" * 400, "d is too large for a float", id="d-401-digits"),
     pytest.param("--k", "1" + "0" * 400, "k is too large for a float", id="k-401-digits"),
     pytest.param("--k", "0", "need k >= 1", id="k-0"),
+    pytest.param("--d", "1" + "0" * 306, "need d <= MAX_D", id="d-307-digits"),
+    pytest.param("--d", "1000000001", "need d <= MAX_D", id="d-above-max"),
 ])
 def test_fano_rejects_bad_count(capsys, flag, value, message):
     args = list(FANO_ARGS)
@@ -124,6 +130,39 @@ def test_fano_curve_rejects_non_finite_endpoint(tmp_path, capsys, curve):
     assert main([*FANO_ARGS, f"--curve={curve}", "--out", str(out)]) == EXIT_SPEC_ERROR
     assert "T must be finite" in _one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("curve", [
+    "0:40:0", "0:40:-1", "0:40:100001", "0:40:1.5", "0:40",
+    pytest.param("0:40:1" + "0" * 400, id="0:40:<401 digits>"),
+])
+def test_fano_curve_rejects_bad_steps(tmp_path, capsys, curve):
+    out = tmp_path / "curve.csv"
+    assert main([*FANO_ARGS, f"--curve={curve}", "--out", str(out)]) == EXIT_SPEC_ERROR
+    assert "STEPS" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_fano_curve_rejects_huge_steps_before_allocating(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        rc = main([*FANO_ARGS, "--curve=0:40:100000000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_SPEC_ERROR
+    assert "need 1 <= STEPS <= 100000" in _one_line_error(capsys)
+    assert peak < 1_000_000  # the grid alone would take 745 GiB
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    code = ("import sys, hawkesnet.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # A model in the class; the bad-model cases below change one field of it.

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -218,6 +220,16 @@ class TestCluster:
         se = np.sqrt(expected / trials) * 2.0  # mild overdispersion margin
         assert np.all(np.abs(counts - expected) < 3 * se)
 
+    def test_cap_is_checked_before_drawing_root_times(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 1000)
+        params = poisson_params(d=2)
+
+        def run():
+            with pytest.raises(simulate.SimulationCapError, match="exceeded 1000 events"):
+                simulate_cluster(params, T=1e6, seed=0)
+
+        assert _read_peak(run) < 100_000  # one node's 1e6 root times alone take 8 MB
+
 
 class TestStateAt:
     def test_no_events(self):
@@ -341,6 +353,48 @@ class TestBinAndClip:
         log = manual_log(1, [[0.1]], t_end=0.4)
         with pytest.raises(ValueError, match="shorter than one bin"):
             bin_and_clip(log, beta=1.0, h=0.5, R=1.0)
+
+    @pytest.mark.parametrize("beta, h, t_end", [
+        pytest.param(1.0, 0.04, 4000.0, id="n-1e5"),
+        pytest.param(1000.0, 1.0, 300.0, id="decay-underflows"),
+        pytest.param(1e-6, 1.0, 1e5, id="beta-h-1e-6"),
+    ])
+    def test_matches_sequential_recurrence(self, beta, h, t_end):
+        rng = np.random.default_rng(11)
+        log = manual_log(2, [np.sort(rng.uniform(-50.0, t_end, size=int(rate * t_end)))
+                             for rate in (1.0, 3.0)], t_start=-50.0, t_end=t_end)
+        decay = math.exp(-beta * h)
+        assert (decay == 0.0) == (beta * h > 745)
+        s = bin_and_clip(log, beta, h, R=1e300)
+        grid = np.arange(s.n) * h
+        for j, ts in enumerate(log.events):
+            first = np.searchsorted(grid, ts)  # first grid point r*h >= ts
+            kept = first < s.n
+            pulses = np.zeros(s.n)
+            np.add.at(pulses, first[kept], np.exp(-beta * (grid[first[kept]] - ts[kept])))
+            want, x = [], 0.0
+            for p in pulses.tolist():
+                x = p + decay * x
+                want.append(x)
+            np.testing.assert_allclose(s.Z[:, j], want, rtol=1e-13, atol=0)
+
+    def test_empty_network_bins_without_a_solve(self):
+        # A solve with no right-hand side would corrupt the heap and crash on exit.
+        code = ("from hawkesnet.simulate import EventLog, bin_and_clip\n"
+                "s = bin_and_clip(EventLog(d=0, events=(), t_start=0.0, t_end=1.0,"
+                " seed=0, method='cluster'), 1.0, 0.25, 1.0)\n"
+                "assert s.Z.shape == s.Y.shape == (4, 0)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_peak_memory_is_z_and_y_and_a_few_columns(self):
+        # The solve overwrites Z in place; a copy of Z would double the peak.
+        params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                        mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
+        log = simulate_cluster(params, T=1000.0, seed=5)
+        peak = _read_peak(lambda: bin_and_clip(log, 1.0, 0.04, 5.0))
+        n, d = 25000, 40
+        assert peak < n * d * (8 + 1) + 4 * n * 8  # Z, Y and four float columns
 
 
 def _assert_matches_state_at(log, beta, h, R):
