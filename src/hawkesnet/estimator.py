@@ -8,8 +8,10 @@ candidates and thresholds the fitted coefficients.
 
 Both stages read two sufficient statistics of the sample: the centered
 covariance of Z and the screening matrix F.  For a row i with candidate
-set C the local least squares is exactly solve(Cov(Z)[C, C], F[i, C]),
-so recover never copies a per-row block of Z.
+set C the local least squares is exactly solve(Cov(Z)[C, C], F[i, C]).
+Both come from the sample's grid sums (n, the column sums of Z and Y,
+YᵀZ and ZᵀZ), so recover reads neither Z nor Y, which a sample binned
+from a log does not hold.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ __all__ = [
 # Relative floor for the smallest Gram eigenvalue before a row is
 # declared degenerate.
 GRAM_EPS_REL = 1e-10
-# Bins per block of the screening product: each block casts only its own
-# rows of Y to float, so screening never holds an n x d float copy of Y.
-SCREENING_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class EstimatorConfig:
 class RowRecovery:
     i: int
     candidates: tuple[int, ...]       # ordered by score descending
-    scores: np.ndarray                # full screening row
     coeffs: Optional[np.ndarray]      # indexed like candidates; None if degenerate
     support: frozenset[int]
     degenerate: bool
@@ -104,17 +102,11 @@ class RecoveryMetrics:
 
 def screening_scores(sample: BinnedSample) -> np.ndarray:
     """Empirical covariance score matrix F with F[i, j] = Cov_n(Z_j, Y_i)."""
-    n = sample.n
-    if n < 2:
+    if sample.n < 2:
         raise ValueError("need at least 2 bins for covariance scores")
-    Z, Y = sample.Z, sample.Y
-    B = SCREENING_BLOCK_ROWS
-    YtZ = np.zeros((sample.d, sample.d))
-    for s in range(0, n, B):
-        YtZ += Y[s:s + B].T.astype(float) @ Z[s:s + B]
-    z_mean = Z.mean(axis=0)
-    y_mean = Y.mean(axis=0)  # exact: Y is 0/1
-    return YtZ / n - np.outer(y_mean, z_mean)
+    stats = sample.statistics
+    n = stats.n
+    return stats.ytz / n - np.outer(stats.y_sum / n, stats.z_sum / n)
 
 
 def select_candidates(score_row: np.ndarray, m: int) -> tuple[int, ...]:
@@ -173,9 +165,9 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     m = min(config.m, sample.d)
     if sample.n < m + 1:
         raise ValueError(f"need n >= |C|+1 bins, got n={sample.n}, |C|={m}")
-    Z = sample.Z
-    z_mean = Z.mean(axis=0)
-    cov = (Z.T @ Z) / sample.n - np.outer(z_mean, z_mean)  # Cov_n(Z), no n x d copy
+    stats = sample.statistics
+    z_mean = stats.z_sum / stats.n
+    cov = stats.ztz / stats.n - np.outer(z_mean, z_mean)  # Cov_n(Z)
     rows = []
     for i in range(sample.d):
         C = select_candidates(F[i], config.m)
@@ -183,7 +175,7 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
         coeffs = _solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
         rows.append(
             RowRecovery(
-                i=i, candidates=C, scores=F[i], coeffs=coeffs,
+                i=i, candidates=C, coeffs=coeffs,
                 support=frozenset() if coeffs is None
                 else threshold_support(coeffs, C, config.tau),
                 degenerate=coeffs is None,

@@ -39,6 +39,9 @@ __all__ = [
     "read_events_csv",
 ]
 
+# Grid points per chunk of binning: a sample binned from a log holds one
+# chunk of states and indicators at a time, never the whole n x d grid.
+CHUNK_BINS = 4096
 # Event-count safety cap of both simulators; read at call time.
 MAX_EVENTS = 10**8
 # Pre-window extension for the cluster construction: roots older than this
@@ -85,27 +88,98 @@ class EventLog:
         )
 
 
-@dataclass(frozen=True)
 class BinnedSample:
     """Clipped grid states Z and bin indicators Y on an (h, R, n) grid.
 
     Z[r, j] = min(X_j(r*h), R) using all events up to and including r*h;
     Y[r, i] = 1 iff node i has at least one event in (r*h, (r+1)*h].
+
+    The estimator reads only `statistics`, sums over the grid taken
+    CHUNK_BINS rows at a time. A sample made from Z and Y sums slices of
+    them. A sample that `bin_and_clip` made from a log holds the sums and
+    the log, not Z and Y: reading Z or Y bins the log again and keeps the
+    arrays, chunk after chunk.
     """
 
-    n: int
-    h: float
-    R: float
-    Z: np.ndarray  # shape (n, d), float
-    Y: np.ndarray  # shape (n, d), uint8
+    def __init__(self, n: int, h: float, R: float, Z: np.ndarray, Y: np.ndarray):
+        Z.setflags(write=False)
+        Y.setflags(write=False)
+        self.n, self.h, self.R, self.d = n, h, R, Z.shape[1]
+        self._Z, self._Y, self._statistics = Z, Y, None
+        self._chunks = lambda: _sliced_chunks(Z, Y)
 
-    def __post_init__(self):
-        self.Z.setflags(write=False)
-        self.Y.setflags(write=False)
+    @classmethod
+    def _binned(cls, log: EventLog, beta: float, n: int, h: float, R: float) -> "BinnedSample":
+        """The sample of a log on n grid points: its statistics now, Z and Y when read."""
+        sample = cls.__new__(cls)
+        sample.n, sample.h, sample.R, sample.d = n, h, R, log.d
+        sample._Z = sample._Y = None
+        sample._chunks = lambda: _binned_chunks(log, beta, h, R, n)
+        sample._statistics = GridStatistics.of(log.d, sample._chunks())
+        return sample
 
     @property
-    def d(self) -> int:
-        return self.Z.shape[1]
+    def Z(self) -> np.ndarray:  # shape (n, d), float
+        if self._Z is None:
+            self._build_arrays()
+        return self._Z
+
+    @property
+    def Y(self) -> np.ndarray:  # shape (n, d), uint8
+        if self._Y is None:
+            self._build_arrays()
+        return self._Y
+
+    def _build_arrays(self) -> None:
+        Z = np.empty((self.n, self.d), order="F")
+        Y = np.empty((self.n, self.d), dtype=np.uint8, order="F")
+        s = 0
+        for Z1, Yc in self._chunks():
+            Z[s:s + len(Yc)] = Z1[:, 1:]
+            Y[s:s + len(Yc)] = Yc
+            s += len(Yc)
+        Z.setflags(write=False)
+        Y.setflags(write=False)
+        self._Z, self._Y = Z, Y
+
+    @property
+    def statistics(self) -> "GridStatistics":
+        if self._statistics is None:
+            self._statistics = GridStatistics.of(self.d, self._chunks())
+        return self._statistics
+
+
+def _sliced_chunks(Z: np.ndarray, Y: np.ndarray):
+    """Rows [1 | Z] and Y of a sample's arrays, CHUNK_BINS rows at a time."""
+    for s in range(0, len(Z), CHUNK_BINS):
+        rows = Z[s:s + CHUNK_BINS]
+        yield np.column_stack([np.ones(len(rows)), rows]), Y[s:s + CHUNK_BINS]
+
+
+class GridStatistics:
+    """The sums the estimator reads: n, the column sums of Z and Y, YᵀZ and ZᵀZ.
+
+    Sums of chunks add up to the sums of the whole grid, so chunks are
+    folded in one at a time (Chan, Golub & LeVeque 1983). A chunk comes as
+    Z1 = [1 | Z] and Y, so the two products Yᵀ Z1 and Z1ᵀ Z1 carry the
+    column sums too.
+    """
+
+    def __init__(self, d: int):
+        self.n = 0
+        self._yz1 = np.zeros((d, d + 1))       # [ΣY | YᵀZ]
+        self._z1z1 = np.zeros((d + 1, d + 1))  # [[n, ΣZᵀ], [ΣZ, ZᵀZ]]
+        self.y_sum, self.ytz = self._yz1[:, 0], self._yz1[:, 1:]
+        self.z_sum, self.ztz = self._z1z1[1:, 0], self._z1z1[1:, 1:]
+
+    @classmethod
+    def of(cls, d: int, chunks) -> "GridStatistics":
+        stats = cls(d)
+        for Z1, Y in chunks:
+            stats.n += len(Y)
+            stats._yz1 += Y.T.astype(float) @ Z1  # only these rows of Y in float
+            stats._z1z1 += Z1.T @ Z1
+        return stats
 
 
 def default_burn_in(params: HawkesParams) -> float:
@@ -327,6 +401,9 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     state at r*h and to indicator bin r-1 (intervals are (r*h, (r+1)*h]).
     Grid points are the floats r*h that `state_at` is given, so an event
     is compared with them, not placed by the rounded quotient ts/h.
+
+    One pass over the grid, CHUNK_BINS points at a time, sums the
+    sample's statistics; no n x d array is made unless Z or Y is read.
     """
     for name, value in (("beta", beta), ("h", h), ("R", R)):
         number(name, value, positive=True)
@@ -334,34 +411,69 @@ def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample
     n = int(math.floor(T / h))
     if n == 0:
         raise ValueError(f"T={T} shorter than one bin h={h}")
-    # Column-major, so each node's column is one contiguous write.
-    Z = np.empty((n, log.d), order="F")
-    Y = np.zeros((n, log.d), dtype=np.uint8, order="F")
-    for v in range(log.d):
-        ts = log.events[v]
+    return BinnedSample._binned(log, beta, n, float(h), float(R))
+
+
+def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
+    """Rows [1 | Z] and Y of the grid, CHUNK_BINS grid points at a time.
+
+    Each chunk is made in a buffer that the next one reuses, so a consumer
+    is done with a chunk before it asks for the next.
+    """
+    d, B = log.d, CHUNK_BINS
+    starts = np.arange(0, n, B)
+    ends = np.minimum(starts + B, n)
+    # The chunk of grid points s..e-1 takes each node's events in ((s-1)h, eh]:
+    # those pulse at its grid points or fall in its bins s..e-1. The first
+    # chunk takes the burn-in events too.
+    edges = np.concatenate([(starts - 1) * h, ends * h])
+    edges[0] = -math.inf
+    cuts = np.array([ts.searchsorted(edges, side="right") for ts in log.events],
+                    dtype=np.int64).reshape(d, 2, len(starts))
+    # X(rh) = exp(-beta h) X((r-1)h) + pulses[r] for every column at once: the
+    # unit lower bidiagonal system with -exp(-beta h) below the diagonal.
+    band = np.empty((2, min(n, B) + 2), order="F")
+    band[0] = 1.0
+    band[1] = -math.exp(-beta * h)
+    # A chunk holds rows s - 1 .. e of the grid. Row s - 1 of Z holds the
+    # previous chunk's last state, unclipped, so the solve carries it on; row
+    # e takes pulses that the next chunk takes again. Row r of Y is the bin
+    # that starts at grid point r.
+    z_buf = np.empty((min(n, B) + 2) * (d + 1))
+    y_buf = np.empty((min(n, B) + 2) * d, dtype=np.uint8)
+    carry = np.zeros(d)
+    counts = (cuts[:, 1] - cuts[:, 0]).T
+    for s, e, lo, hi, count in zip(starts.tolist(), ends.tolist(),
+                                   cuts[:, 0].T.tolist(), cuts[:, 1].T.tolist(), counts):
+        rows = e - s + 2
+        # (An empty first part, for d=0.)
+        ts = np.concatenate([np.empty(0), *(t[a:b] for t, a, b in zip(log.events, lo, hi))])
         # first grid index at/after each event; event ts lies in bin grid-1
         grid = np.ceil(ts / h).astype(np.int64)
         # ts/h and r*h round apart within an ulp of a grid point.
         grid -= (grid - 1) * h >= ts
         grid += grid * h < ts
-        first_grid = np.maximum(grid, 0)  # burn-in events pulse at r=0
-        in_grid = first_grid <= n - 1
-        weights = np.exp(-beta * (first_grid[in_grid] * h - ts[in_grid]))
-        Z[:, v] = np.bincount(first_grid[in_grid], weights=weights, minlength=n)
-        Y[grid[(ts > 0.0) & (grid <= n)] - 1, v] = 1
-    # X(rh) = exp(-beta h) X((r-1)h) + pulses[r] for every column at once: the
-    # unit lower bidiagonal system with -exp(-beta h) below the diagonal.
-    band = np.empty((2, n), order="F")
-    band[0] = 1.0
-    band[1] = -math.exp(-beta * h)
-    # Z is F-contiguous float64, so the solve overwrites it without a copy.
-    # No call for d=0: dtbtrs with no right-hand side corrupts the heap.
-    if log.d:
-        Z, info = dtbtrs(band, Z, uplo="L", diag="U", overwrite_b=True)
-        if info != 0:
-            raise RuntimeError(f"dtbtrs failed with info={info}")
-    np.minimum(Z, R, out=Z)
-    return BinnedSample(n=n, h=float(h), R=float(R), Z=Z, Y=Y)
+        if s == 0:
+            np.maximum(grid, 0, out=grid)  # burn-in events pulse at r=0
+        at = np.repeat(np.arange(0, rows * d, rows), count) + (grid - s)  # Y[grid - 1]
+        y_flat = y_buf[:rows * d]
+        y_flat.fill(0)
+        y_flat[at] = 1
+        z_flat = z_buf[:rows * (d + 1)]
+        z_flat[:rows] = 1.0
+        z_flat[rows:] = 0.0
+        np.add.at(z_flat, at + (rows + 1), np.exp(-beta * (grid * h - ts)))  # Z[grid]
+        Z1 = z_flat.reshape(d + 1, rows).T
+        Z = Z1[:, 1:]  # F-contiguous, so the solve overwrites it
+        Z[0] = carry
+        # No call for d=0: dtbtrs with no right-hand side corrupts the heap.
+        if d:
+            solved, info = dtbtrs(band[:, :rows], Z, uplo="L", diag="U", overwrite_b=True)
+            if info != 0 or not np.shares_memory(solved, Z):
+                raise RuntimeError(f"dtbtrs failed with info={info}, or solved a copy")
+        carry[:] = Z[-2]
+        np.minimum(Z[1:-1], R, out=Z[1:-1])
+        yield Z1[1:-1], y_flat.reshape(d, rows).T[1:-1]
 
 
 def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:

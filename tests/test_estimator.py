@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet import estimator
+from hawkesnet import simulate
 from hawkesnet.estimator import (
     EstimatorConfig,
     evaluate,
@@ -96,7 +96,7 @@ class TestScreeningScores:
 
     @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 1])
     def test_blocked_product_matches_dense_reference(self, n):
-        assert estimator.SCREENING_BLOCK_ROWS == 4096
+        assert simulate.CHUNK_BINS == 4096
         rng = np.random.default_rng(n)
         Z = np.asfortranarray(rng.random((n, 5)) * 3.0)
         Y = (rng.random((n, 5)) < 0.2 + 0.1 * Z).astype(np.uint8, order="F")
@@ -119,6 +119,24 @@ class TestScreeningScores:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * sample.n * sample.d * 8
+
+
+def test_binning_and_recovery_peak_does_not_grow_with_the_horizon():
+    # d=40 on the auto schedule: n = 25000 bins at T=1000 and 100000 at T=4000,
+    # where Z and Y alone would be 9 and 36 MB.
+    params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
+    cfg = EstimatorConfig.auto(alpha=0.2, w_minus=1.0, k=2)
+    peaks = []
+    for T in (1000.0, 4000.0):
+        log = simulate_cluster(params, T=T, seed=5)
+        tracemalloc.start()
+        try:
+            recover(bin_and_clip(log, params.beta, cfg.h, cfg.R), cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < simulate.CHUNK_BINS * params.d * 8
 
 
 class TestSelectCandidates:

@@ -34,6 +34,22 @@ class TestLogChoose:
         with pytest.raises(ValueError):
             log_n_choose_k(3, 4)
 
+    @pytest.mark.parametrize("n, k", [
+        (n, k) for n in (10, 10**3, 10**6, 10**9) for k in (1, 2, 3, 8, 64, n - 1) if k <= n
+    ])
+    def test_matches_exact_integer_to_1e_14(self, n, k):
+        # A difference of lgamma values loses about 1e-16 * n of it: 1e-11 at n = 1e6.
+        want = math.log(math.comb(n, k))
+        assert abs(log_n_choose_k(n, k) - want) <= 1e-14 * want
+
+    def test_half_of_a_billion(self):
+        # k = n/2 takes no longer than k = 1; lgamma holds this value to about 1e-14.
+        n = 10**9
+        v = log_n_choose_k(n, n // 2)
+        assert v == pytest.approx(
+            math.lgamma(n + 1) - 2 * math.lgamma(n // 2 + 1), rel=1e-13)
+        assert v == log_n_choose_k(n, n - n // 2)
+
 
 class TestKlBudget:
     def test_hand_example(self):

@@ -388,13 +388,79 @@ class TestBinAndClip:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_peak_memory_is_z_and_y_and_a_few_columns(self):
-        # The solve overwrites Z in place; a copy of Z would double the peak.
+        # Binning holds one chunk; reading Z builds Z and Y from the chunks in
+        # turn, with no copy of either (a copy of Z would add 8 MB).
         params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
                                         mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
         log = simulate_cluster(params, T=1000.0, seed=5)
-        peak = _read_peak(lambda: bin_and_clip(log, 1.0, 0.04, 5.0))
+        peak = _read_peak(lambda: bin_and_clip(log, 1.0, 0.04, 5.0).Z)
         n, d = 25000, 40
-        assert peak < n * d * (8 + 1) + 4 * n * 8  # Z, Y and four float columns
+        chunk = simulate.CHUNK_BINS * d * 8
+        assert peak < n * d * (8 + 1) + 3 * chunk  # Z, Y, one chunk's buffers and events
+
+    def test_n_and_d_do_not_bin_again(self, monkeypatch):
+        passes = []
+        chunks = simulate._binned_chunks
+        monkeypatch.setattr(simulate, "_binned_chunks",
+                            lambda *args: passes.append(1) or chunks(*args))
+        log = manual_log(2, [[0.3, 0.9], [1.5]], t_end=3.0)
+        s = bin_and_clip(log, beta=1.0, h=0.25, R=2.0)
+        assert (s.n, s.d, s.statistics.n) == (12, 2, 12) and len(passes) == 1
+        assert s.Z.shape == s.Y.shape == (12, 2) and len(passes) == 2
+        assert s.Y.sum() == 3 and len(passes) == 2
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 1])
+    def test_statistics_across_chunk_edges_match_dense_reference(self, n):
+        assert simulate.CHUNK_BINS == 4096
+        h, beta, R = 0.17, 1.0, 5.0
+        assert 4095 * h / h > 4095  # ceil(ts/h) would place it at grid point 4096
+        edges = [s for s in (4096, 8192) if s < n]
+        rng = np.random.default_rng(n)
+        t_end = (n + 0.5) * h
+        background = [rng.uniform(-5.0, t_end, size=rng.poisson(0.5 * (t_end + 5.0)))
+                      for _ in range(3)]
+        # Node 0: bursts that clip the state just before each chunk edge, where a
+        # clipped carry would shrink the next chunk's states.
+        burst = [(s - 1) * h - 0.001 * i for s in edges for i in range(1, 9)]
+        # Node 1: events on the float grid points at and around each chunk start.
+        on_grid = [r * h for s in [*edges, n] for r in (s - 1, s, s + 1)] + [0.0, h]
+        # Node 2: burn-in events, one exactly at -h and one at 0.
+        burn_in = [-4.0, -1.0, -h, 0.0]
+        events = [np.sort(np.concatenate([b, extra])) for b, extra in
+                  zip(background, (burst, on_grid, burn_in))]
+        log = manual_log(3, [ts[(ts >= -5.0) & (ts <= t_end)] for ts in events],
+                         t_start=-5.0, t_end=t_end)
+        s = bin_and_clip(log, beta, h, R)
+        Z, Y = _dense_grid(log, beta, h, R)
+        stats = s.statistics
+        assert s.n == stats.n == n
+        assert np.array_equal(stats.y_sum, Y.sum(axis=0))
+        for got, want in ((stats.z_sum, Z.sum(axis=0)), (stats.ytz, Y.T @ Z),
+                          (stats.ztz, Z.T @ Z)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(s.Z, Z, rtol=1e-13, atol=0)
+        assert np.array_equal(s.Y, Y)
+        if edges:
+            assert Z[edges[0] - 1, 0] == R and Z[edges[0], 0] == R
+
+
+def _dense_grid(log, beta, h, R):
+    """Z and Y (as floats) by the sequential recursion over every grid point."""
+    n = math.floor(log.t_end / h)
+    grid = np.arange(n + 1) * h
+    decay = math.exp(-beta * h)
+    Z, Y = np.zeros((n, log.d)), np.zeros((n, log.d))
+    for j, ts in enumerate(log.events):
+        first = np.searchsorted(grid, ts)  # first grid point r*h >= ts
+        kept = first <= n
+        pulses = np.zeros(n + 1)
+        np.add.at(pulses, first[kept], np.exp(-beta * (grid[first[kept]] - ts[kept])))
+        x = 0.0
+        for r in range(n):
+            x = pulses[r] + decay * x
+            Z[r, j] = min(x, R)
+        Y[first[(ts > 0.0) & kept] - 1, j] = 1.0
+    return Z, Y
 
 
 def _assert_matches_state_at(log, beta, h, R):
