@@ -44,6 +44,9 @@ __all__ = [
 CHUNK_BINS = 4096
 # Event-count safety cap of both simulators; read at call time.
 MAX_EVENTS = 10**8
+# Thinning folds its decay factor g into the stored excess once g falls below
+# this, long before theta_ij / g could overflow.
+_RESCALE_BELOW = 1e-150
 # Pre-window extension for the cluster construction: roots older than this
 # contribute at most e^{-40} of an in-window cluster.
 TAU_EXTEND_OVER_BETA = 40.0
@@ -210,51 +213,87 @@ def simulate_thinning(
     S(t) = sum_j (sum_i theta_ij) X_j(t), is non-increasing between
     events, so one exponential proposal clock against its current value
     is valid. Every node shares beta, so S decays as one scalar and a
-    proposal costs O(1); only an accepted event decays the per-node
-    excess v = theta @ X, picks its node and adds its column of theta.
+    proposal costs O(1).
+
+    The per-node excess v = theta @ X is kept as g * s with one scalar g,
+    which each proposal decays. A Fenwick (1994) tree over s gives the
+    prefix sums of v. An accepted event picks its node, the first i with
+    sum_{l <= i} (mu_l + v_l) >= u * (mu_total + S), by one descent of the
+    tree, then adds theta_ij / g to s_i and to the tree for each child i
+    of its node: O(k log d) for k children, where a dense v costs O(d).
+    When g falls below 1e-150, it is folded into s and the tree.
 
     With ``check_bound`` every proposal also recomputes the total
-    intensity densely and raises AssertionError if it exceeds the bound
-    or departs from mu_total + S.
+    intensity densely, from mu + g * s, and raises AssertionError if it
+    exceeds the bound or departs from mu_total + S.
     """
     t_start, T = _window(params, T, burn_in)
     rng = np.random.default_rng(seed)
-    beta = params.beta
-    mu = params.mu
-    # Row j is theta's column j: what an event on node j adds to v.
-    theta_cols = np.ascontiguousarray(params.theta.to_dense().T)
+    exponential, random, exp = rng.exponential, rng.random, math.exp
+    beta, d, mu = params.beta, params.d, params.mu
     col_sums = params.theta.column_sums().tolist()
     mu_total = float(np.sum(mu))
+    # Tree cell p sums s over nodes p - (p & -p) .. p - 1. The descent from 0
+    # steps by the powers of two below `size`, so it reads cells 1 .. size - 1.
+    # It enters a cell only if mu's prefix there is below the draw: inf from
+    # cell d on, so it stops at node d - 1 at the latest (the clamp of a draw
+    # past the last prefix by rounding), and no cell from d on holds a node.
+    size = 1 << (d - 1).bit_length()
+    steps = [size >> b for b in range(1, (d - 1).bit_length() + 1)]
+    mu_prefix = np.concatenate([[0.0], np.cumsum(mu[:-1]), np.full(size - d, math.inf)]).tolist()
+    cells: list[list[int]] = [[] for _ in range(d)]  # the cells below d holding node i
+    for i in range(d - 1):
+        p = i + 1
+        while p < d:
+            cells[i].append(p)
+            p += p & -p
+    # children[j]: (i, theta_ij, cells[i]) for each edge j -> i
+    children: list[list[tuple]] = [[] for _ in range(d)]
+    for i, row in enumerate(params.theta.rows):
+        for j, theta_ij in row:
+            children[j].append((i, theta_ij, cells[i]))
 
     t = t_start
-    v = np.zeros(params.d)  # theta @ X at the last accepted event
-    decay = 1.0  # X's decay since the last accepted event
+    g = 1.0  # X's decay since s was last rescaled: theta @ X = g * s
+    s = [0.0] * d
+    tree = [0.0] * size
     S = 0.0  # sum(theta @ X) now
     times: list[float] = []
     nodes: list[int] = []
     while True:
         bound = mu_total + S
-        w = rng.exponential(1.0 / bound)
+        w = exponential(1.0 / bound)
         t += w
         if t > T:
             break
-        f = math.exp(-beta * w)
+        f = exp(-beta * w)
         S *= f
-        decay *= f
+        g *= f
+        total = mu_total + S
         if check_bound:
-            dense = float(np.sum(mu + v * decay))
-            if dense > bound * (1.0 + 1e-9) or abs(dense - (mu_total + S)) > 1e-9 * bound:
+            dense = float(np.sum(mu + g * np.array(s)))
+            if dense > bound * (1.0 + 1e-9) or abs(dense - total) > 1e-9 * bound:
                 raise AssertionError(
                     f"thinning bound violated at t={t}: dense intensity {dense}, "
-                    f"bound {bound}, scalar intensity {mu_total + S}"
+                    f"bound {bound}, scalar intensity {total}"
                 )
-        if rng.random() * bound <= mu_total + S:
-            v *= decay
-            decay = 1.0
-            # Array methods: np.cumsum and np.searchsorted add a dispatch per call.
-            cum = (mu + v).cumsum()
-            node = int(cum.searchsorted(rng.random() * cum[-1]))
-            v += theta_cols[node]
+        if random() * bound <= total:
+            if g < _RESCALE_BELOW:
+                s = [x * g for x in s]
+                tree = [x * g for x in tree]
+                g = 1.0
+            target = random() * total
+            node, acc = 0, 0.0
+            for step in steps:
+                p = node + step
+                c = acc + tree[p]
+                if mu_prefix[p] + g * c < target:
+                    node, acc = p, c
+            for i, theta_ij, held in children[node]:
+                x = theta_ij / g
+                s[i] += x
+                for p in held:
+                    tree[p] += x
             S += col_sums[node]
             times.append(t)
             nodes.append(node)
@@ -485,9 +524,12 @@ def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:
     times = np.concatenate(log.events)
     nodes = np.repeat(np.arange(log.d), [ts.size for ts in log.events])
     order = np.lexsort((nodes, times))
-    rows = map("%d,%.17g".__mod__, zip(nodes[order].tolist(), times[order].tolist()))
+    # Every row in one `%` call: node, time, node, time, ...
+    fields = [None] * (2 * order.size)
+    fields[::2] = nodes[order].tolist()
+    fields[1::2] = times[order].tolist()
     with open(path, "w", newline="") as f:
-        f.write("\r\n".join(["node,time", *rows, ""]))
+        f.write("node,time\r\n" + "%d,%.17g\r\n" * order.size % tuple(fields))
     meta = {
         "d": log.d,
         "t_start": log.t_start,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -171,6 +172,89 @@ def test_thinning_draws_match_dense_reference(d):
             for ts, want in zip(log.events, ref):
                 assert ts.size == want.size
                 assert np.all(np.abs(ts - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def _assert_matches_dense_reference(log, ref):
+    # The same nodes in the same order, and times equal up to rounding.
+    assert log.total_events() > 0
+    assert [ts.size for ts in log.events] == [want.size for want in ref]
+    times, want = np.concatenate(log.events), np.concatenate(ref)
+    nodes = np.repeat(np.arange(log.d), [want.size for want in ref])
+    assert np.array_equal(nodes[np.argsort(times, kind="stable")],
+                          nodes[np.argsort(want, kind="stable")])
+    assert np.all(np.abs(times - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [7, 40])
+def test_thinning_node_descent_matches_dense_reference(d):
+    # d not a power of two: the descent of the node tree crosses cells of
+    # several sizes and stops short of the cells past the last node.
+    for inst in range(2):
+        p = sample_random_instance(d=d, k=2, alpha=0.3, w_minus=0.5, w_plus=1.0,
+                                   mu_minus=0.5, mu_plus=1.5, beta=1.0, seed=mix64(53, d, inst))
+        for trial in range(2):
+            seed = mix64(54, d, inst, trial)
+            log = simulate_thinning(p, T=200.0, burn_in=20.0, seed=seed)
+            _assert_matches_dense_reference(log, _dense_reference_thinning(p, 200.0, 20.0, seed))
+
+
+class _ScriptedGenerator:
+    """A stand-in for numpy's Generator whose uniform draws come from a script.
+
+    Every proposal is accepted (its first draw is 0), and every node draw
+    lands exactly on a boundary of the cumulative intensities.
+    """
+
+    def __init__(self, node_draws):
+        self._draws = iter([u for node_draw in node_draws for u in (0.0, node_draw)])
+
+    def exponential(self, scale):
+        return 0.5 * scale
+
+    def random(self):
+        return next(self._draws)
+
+    uniform = random
+
+
+def test_thinning_node_draw_on_a_boundary_picks_the_lower_node(monkeypatch):
+    # Integer rates summing to 8 make every u * 8 with u = j / 8 exact, so the
+    # draw equals a cumulative intensity; like searchsorted, the node is then
+    # the first whose cumulative intensity reaches it.
+    p = dataclasses.replace(poisson_params(d=7), mu=np.array([1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0]))
+    draws = [j / 8 for j in range(8)] * 4  # proposals every 1/16 over a window of 2
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedGenerator(draws))
+    log = simulate_thinning(p, T=1.0, burn_in=1.0, seed=0)
+    ref = _dense_reference_thinning(p, 1.0, 1.0, 0)
+    assert log.total_events() == len(draws)
+    _assert_matches_dense_reference(log, ref)
+    assert [ts.size for ts in log.events] == [8, 4, 8, 4, 4, 4, 0]
+
+
+def _rescale_case():
+    # The stored excess's decay factor falls by exp(-beta * (T + burn_in)) over
+    # the run; four times the floor's logarithm makes it rescale several times.
+    p = sample_random_instance(d=6, k=2, alpha=2.0, w_minus=0.5, w_plus=1.0,
+                               mu_minus=0.5, mu_plus=1.5, beta=8.0, seed=mix64(55, 6))
+    T, burn_in = 200.0, simulate.default_burn_in(p)
+    assert p.beta * (T + burn_in) >= 4 * math.log(1 / simulate._RESCALE_BELOW)
+    return p, T, burn_in
+
+
+def test_thinning_rescale_of_the_stored_excess_matches_dense_reference():
+    p, T, burn_in = _rescale_case()
+    for seed in (1, 2):
+        log = simulate_thinning(p, T=T, burn_in=burn_in, seed=seed)
+        _assert_matches_dense_reference(log, _dense_reference_thinning(p, T, burn_in, seed))
+
+
+def test_thinning_bound_check_across_rescales_leaves_the_stream_as_it_was():
+    p, T, burn_in = _rescale_case()
+    checked = simulate_thinning(p, T=T, burn_in=burn_in, seed=3, check_bound=True)
+    plain = simulate_thinning(p, T=T, burn_in=burn_in, seed=3)
+    assert checked.total_events() > 0
+    for x, y in zip(checked.events, plain.events):
+        assert x.tobytes() == y.tobytes()
 
 
 class TestCluster:
@@ -567,6 +651,13 @@ def test_event_csv_text_is_pinned(tmp_path):
         b"0,2\r\n"
     )
     assert meta.read_text() == '{"d":4,"method":"cluster","seed":5,"t_end":3.0,"t_start":-1.0}\n'
+
+
+def test_event_csv_text_of_an_empty_log(tmp_path):
+    path, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+    write_events_csv(manual_log(2, [[], []]), str(path), str(meta))
+    assert path.read_bytes() == b"node,time\r\n"
+    assert read_events_csv(str(path), str(meta)).total_events() == 0
 
 
 def test_event_csv_reads_quoted_fields(tmp_path):
