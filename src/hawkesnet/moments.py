@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .model import HawkesParams, TrueSupport, require_subcritical
 
@@ -51,6 +50,9 @@ def stationary_covariance(params: HawkesParams, m: np.ndarray) -> np.ndarray:
     Theta - beta*I is stable for gamma < 1, so the solution is unique and
     its cost does not grow as gamma approaches 1.
     """
+    # scipy is imported here alone: no other path of hawkesnet needs it.
+    from scipy.linalg import solve_continuous_lyapunov
+
     require_subcritical(params.k, params.theta_plus, params.beta)
     a = params.theta.to_dense() - params.beta * np.eye(params.d)
     sigma = solve_continuous_lyapunov(a, -np.diag(params.beta * np.asarray(m)))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .model import HawkesParams, number
 
@@ -44,6 +43,10 @@ __all__ = [
 CHUNK_BINS = 4096
 # Event-count safety cap of both simulators; read at call time.
 MAX_EVENTS = 10**8
+# Binning scales a block of rows by 1/decay^r, r up to this / (beta h), so
+# that one cumulative sum makes their states; exp(600) leaves every weight
+# and sum finite.
+_SCALE_LIMIT = 600.0
 # Thinning folds its decay factor g into the stored excess once g falls below
 # this, long before theta_ij / g could overflow.
 _RESCALE_BELOW = 1e-150
@@ -469,13 +472,21 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
     edges[0] = -math.inf
     cuts = np.array([ts.searchsorted(edges, side="right") for ts in log.events],
                     dtype=np.int64).reshape(d, 2, len(starts))
-    # X(rh) = exp(-beta h) X((r-1)h) + pulses[r] for every column at once: the
-    # unit lower bidiagonal system with -exp(-beta h) below the diagonal.
-    band = np.empty((2, min(n, B) + 2), order="F")
-    band[0] = 1.0
-    band[1] = -math.exp(-beta * h)
+    # X(rh) = decay X((r-1)h) + pulses[r] for every column at once. Scaled by
+    # grow[r] = 1/decay^r, that recurrence is a cumulative sum: X[r] grow[r] =
+    # X[0] + pulses[1] grow[1] + ... + pulses[r] grow[r]. grow is the reciprocal
+    # of the cumulative product of decay, the factor the recurrence multiplies
+    # by, so the two round alike; a block of `step` new rows keeps it finite.
+    decay = math.exp(-beta * h)
+    step = min(n, B) + 1  # the new rows of a chunk
+    if beta * h * step > _SCALE_LIMIT:
+        step = int(_SCALE_LIMIT // (beta * h))
+    if step > 1:
+        grow = np.full(step + 1, decay)
+        grow[0] = 1.0
+        np.divide(1.0, np.cumprod(grow, out=grow), out=grow)
     # A chunk holds rows s - 1 .. e of the grid. Row s - 1 of Z holds the
-    # previous chunk's last state, unclipped, so the solve carries it on; row
+    # previous chunk's last state, unclipped, so the sum carries it on; row
     # e takes pulses that the next chunk takes again. Row r of Y is the bin
     # that starts at grid point r.
     z_buf = np.empty((min(n, B) + 2) * (d + 1))
@@ -503,13 +514,21 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
         z_flat[rows:] = 0.0
         np.add.at(z_flat, at + (rows + 1), np.exp(-beta * (grid * h - ts)))  # Z[grid]
         Z1 = z_flat.reshape(d + 1, rows).T
-        Z = Z1[:, 1:]  # F-contiguous, so the solve overwrites it
+        Z = Z1[:, 1:]
         Z[0] = carry
-        # No call for d=0: dtbtrs with no right-hand side corrupts the heap.
-        if d:
-            solved, info = dtbtrs(band[:, :rows], Z, uplo="L", diag="U", overwrite_b=True)
-            if info != 0 or not np.shares_memory(solved, Z):
-                raise RuntimeError(f"dtbtrs failed with info={info}, or solved a copy")
+        if step > 1:
+            # Row a of a block is final: the last of the previous block, or carry.
+            for a in range(0, rows - 1, step):
+                block = Z[a:a + step + 1]
+                weight = grow[:len(block), None]
+                block *= weight
+                np.cumsum(block, axis=0, out=block)
+                block /= weight
+        elif decay:
+            # beta h > _SCALE_LIMIT / 2: 1/decay may overflow, so row by row.
+            for r in range(1, rows):
+                Z[r] += decay * Z[r - 1]
+        # decay == 0: each row is its own pulses.
         carry[:] = Z[-2]
         np.minimum(Z[1:-1], R, out=Z[1:-1])
         yield Z1[1:-1], y_flat.reshape(d, rows).T[1:-1]

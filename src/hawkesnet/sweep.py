@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Optional, Sequence
@@ -48,6 +49,8 @@ WILSON_Z = 1.959963984540054
 MAX_BRACKET_EXPANSIONS = 12
 # Even grid points of the re-scan after non-monotone rates.
 RESCAN_POINTS = 9
+# Trials a pool worker takes per task of a cell.
+TRIALS_PER_TASK = 4
 
 
 class SpecError(ValueError):
@@ -215,14 +218,18 @@ def _trial_worker(args: tuple) -> bool:
 
 
 def run_cell(d: int, T: float, spec: SweepSpec) -> CellResult:
-    """Run spec.trials independent trials of the (d, T) cell."""
-    jobs = min(spec.jobs, spec.trials)
+    """Run spec.trials independent trials of the (d, T) cell.
+
+    The pool starts all its workers at once, so it takes no more of them
+    than the host has CPUs or the map has chunks of trials.
+    """
+    jobs = min(spec.jobs, os.cpu_count() or 1, -(-spec.trials // TRIALS_PER_TASK))
     args = [(d, T, spec, t) for t in range(spec.trials)]
     if jobs == 1:
         outcomes = [run_trial(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_trial_worker, args, chunksize=4))
+            outcomes = list(pool.map(_trial_worker, args, chunksize=TRIALS_PER_TASK))
     return CellResult(d=d, T=T, trials=spec.trials, successes=sum(outcomes))
 
 

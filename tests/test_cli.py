@@ -211,6 +211,30 @@ def test_cli_import_leaves_out_scipy_signal():
     assert out == "[]\n"
 
 
+def test_simulate_and_recover_load_no_scipy_and_oracle_still_runs(tmp_path, model_file):
+    # scipy is the oracle's alone: a simulate and a recover in one process
+    # load none of it, and an oracle after them still prints the moments.
+    events, net = tmp_path / "events.csv", tmp_path / "net.json"
+    code = (
+        "import json, sys\n"
+        "from hawkesnet.cli import main\n"
+        f"assert main(['simulate', '--model', {model_file!r}, '--T', '200', '--seed', '7',"
+        f" '--out', {str(events)!r}]) == 0\n"
+        f"assert main(['recover', '--events', {str(events)!r}, '--beta', '1.0', '--auto',"
+        f" '--alpha', '0.3', '--w-minus', '1.0', '--k', '1', '--out', {str(net)!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        f"assert main(['oracle', '--model', {model_file!r}]) == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                         capture_output=True, text=True).stdout
+    loaded, oracle = out.split("\n", 1)
+    assert json.loads(loaded) == []
+    assert len(json.loads(net.read_text())["rows"]) == 5
+    doc = json.loads(oracle)
+    assert len(doc["m"]) == 5 and len(doc["sigma"]) == 5 and len(doc["gaps"]) == 5
+
+
 # A model in the class; the bad-model cases below change one field of it.
 GOOD_MODEL = {
     "d": 2, "beta": 1.0, "mu": [1.0, 1.0], "edges": [{"i": 0, "j": 1, "w": 0.3}],

@@ -442,6 +442,11 @@ class TestBinAndClip:
         pytest.param(1.0, 0.04, 4000.0, id="n-1e5"),
         pytest.param(1000.0, 1.0, 300.0, id="decay-underflows"),
         pytest.param(1e-6, 1.0, 1e5, id="beta-h-1e-6"),
+        # A chunk spans several blocks of the scaled sum, and one block
+        # straddles a chunk edge.
+        pytest.param(40.0, 1.0, 5000.0, id="blocks-of-15-rows"),
+        pytest.param(650.0, 1.0, 300.0, id="decay-tiny-normal"),
+        pytest.param(720.0, 1.0, 300.0, id="decay-subnormal"),
     ])
     def test_matches_sequential_recurrence(self, beta, h, t_end):
         rng = np.random.default_rng(11)
@@ -463,7 +468,8 @@ class TestBinAndClip:
             np.testing.assert_allclose(s.Z[:, j], want, rtol=1e-13, atol=0)
 
     def test_empty_network_bins_without_a_solve(self):
-        # A solve with no right-hand side would corrupt the heap and crash on exit.
+        # d=0 leaves every chunk with no columns. A fresh process shows that
+        # binning them neither fails nor leaves the process to crash on exit.
         code = ("from hawkesnet.simulate import EventLog, bin_and_clip\n"
                 "s = bin_and_clip(EventLog(d=0, events=(), t_start=0.0, t_end=1.0,"
                 " seed=0, method='cluster'), 1.0, 0.25, 1.0)\n"

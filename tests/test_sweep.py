@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hawkesnet import sweep
 from hawkesnet.seeding import float_bits, mix64, trial_seed
 from hawkesnet.sweep import (
     CellResult,
@@ -130,6 +131,39 @@ class TestRunCell:
         serial = run_cell(4, 30.0, small_spec(trials=6))
         parallel = run_cell(4, 30.0, small_spec(trials=6, jobs=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, trials, cpus, workers", [
+        (100000, 100000, 2, 2),
+        (100000, 100000, None, None),
+        (100000, 9, 64, 3),
+        (3, 100000, 64, 3),
+        (8, 4, 64, None),
+    ])
+    def test_pool_workers_are_capped(self, monkeypatch, jobs, trials, cpus, workers):
+        # The pool forks every worker up front: no more than the CPUs or
+        # the chunks of TRIALS_PER_TASK trials; one worker runs inline.
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                assert chunksize == sweep.TRIALS_PER_TASK
+                return [False for _ in args]
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(sweep, "run_trial", lambda *args: False)
+        cell = run_cell(4, 30.0, small_spec(trials=trials, jobs=jobs))
+        assert (cell.trials, cell.successes) == (trials, 0)
+        assert started == ([] if workers is None else [workers])
 
     def test_seed_changes_outcome_stream(self):
         # same structure, different base seed: allowed to differ
