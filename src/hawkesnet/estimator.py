@@ -42,6 +42,9 @@ __all__ = [
 # Relative floor for the smallest Gram eigenvalue before a row is
 # declared degenerate.
 GRAM_EPS_REL = 1e-10
+# Entries of the stacked Cov(Z)[C, C] blocks that recover solves at once: a
+# group holds max(1, this // m^2) rows, so its memory does not grow with d.
+_GROUP_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,20 +116,30 @@ def select_candidates(score_row: np.ndarray, m: int) -> tuple[int, ...]:
     """Indices of the m largest scores; ties broken by smaller index first."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = score_row.shape[0]
-    order = np.lexsort((np.arange(d), -score_row))
-    return tuple(int(j) for j in order[: min(m, d)])
+    return tuple(_top_m(score_row, m).tolist())
 
 
-def _solve_gram(gram: np.ndarray, g: np.ndarray) -> Optional[np.ndarray]:
-    """Cholesky solve of gram @ x = g, or None when gram fails the
-    relative eigenvalue test (insufficient data or duplicated columns)."""
-    eps = GRAM_EPS_REL * np.trace(gram) / len(g)
-    if np.linalg.eigvalsh(gram)[0] <= eps:
-        return None
-    L = np.linalg.cholesky(gram)
-    half = np.linalg.solve(L, g)
-    return np.linalg.solve(L.T, half)
+def _top_m(scores: np.ndarray, m: int) -> np.ndarray:
+    """Indices of each row's m largest scores, by score descending then index."""
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :m]
+
+
+def _solve_gram(gram: np.ndarray, g: np.ndarray) -> list[Optional[np.ndarray]]:
+    """Cholesky solves of gram[k] @ x = g[k] over a stack of k.
+
+    Entry k is None when gram[k] fails the relative eigenvalue test
+    (insufficient data or duplicated columns).
+    """
+    eps = GRAM_EPS_REL * np.trace(gram, axis1=-2, axis2=-1) / g.shape[-1]
+    ok = ~(np.linalg.eigvalsh(gram)[:, 0] <= eps)
+    solved: list[Optional[np.ndarray]] = [None] * len(g)
+    if ok.any():
+        L = np.linalg.cholesky(gram[ok])
+        half = np.linalg.solve(L, g[ok, :, None])
+        x = np.linalg.solve(L.swapaxes(-1, -2), half)[..., 0]
+        for k, row in zip(np.flatnonzero(ok).tolist(), x):
+            solved[k] = row
+    return solved
 
 
 def local_least_squares(
@@ -145,7 +158,7 @@ def local_least_squares(
     Zc = sample.Z[:, C] - sample.Z[:, C].mean(axis=0)
     y = sample.Y[:, i].astype(float)
     y -= y.mean()
-    return _solve_gram((Zc.T @ Zc) / n, (Zc.T @ y) / n)
+    return _solve_gram(((Zc.T @ Zc) / n)[None], ((Zc.T @ y) / n)[None])[0]
 
 
 def threshold_support(
@@ -158,7 +171,8 @@ def threshold_support(
 def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     """Run screening, candidate selection, local least squares, thresholding.
 
-    Rows are processed independently; a degenerate Gram yields an empty
+    Rows are solved independently, their m x m Gram blocks stacked in groups
+    of max(1, _GROUP_ENTRIES // m^2) rows; a degenerate Gram yields an empty
     support plus a flag rather than aborting.
     """
     F = screening_scores(sample)
@@ -168,17 +182,22 @@ def recover(sample: BinnedSample, config: EstimatorConfig) -> RecoveredNetwork:
     stats = sample.statistics
     z_mean = stats.z_sum / stats.n
     cov = stats.ztz / stats.n - np.outer(z_mean, z_mean)  # Cov_n(Z)
+    candidates = _top_m(F, m)
+    group = max(1, _GROUP_ENTRIES // (m * m))
+    coeffs: list[Optional[np.ndarray]] = []
+    for lo in range(0, sample.d, group):
+        idx = candidates[lo:lo + group]
+        coeffs += _solve_gram(
+            cov[idx[:, :, None], idx[:, None, :]],
+            np.take_along_axis(F[lo:lo + group], idx, axis=1),
+        )
     rows = []
-    for i in range(sample.d):
-        C = select_candidates(F[i], config.m)
-        idx = np.array(C)
-        coeffs = _solve_gram(cov[np.ix_(idx, idx)], F[i, idx])
+    for i, (C, x) in enumerate(zip(map(tuple, candidates.tolist()), coeffs)):
         rows.append(
             RowRecovery(
-                i=i, candidates=C, coeffs=coeffs,
-                support=frozenset() if coeffs is None
-                else threshold_support(coeffs, C, config.tau),
-                degenerate=coeffs is None,
+                i=i, candidates=C, coeffs=x,
+                support=frozenset() if x is None else threshold_support(x, C, config.tau),
+                degenerate=x is None,
             )
         )
     return RecoveredNetwork(d=sample.d, rows=tuple(rows))

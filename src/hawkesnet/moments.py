@@ -82,19 +82,16 @@ def screening_gap(G: np.ndarray, support: TrueSupport) -> list[float | None]:
     gap is the min parent score itself (empty-max convention).
     """
     d = support.d
-    gaps: list[float | None] = []
-    for i in range(d):
-        parents = sorted(support.rows[i])
-        if not parents:
-            gaps.append(None)
-            continue
-        others = [j for j in range(d) if j not in support.rows[i]]
-        lo = float(np.min(G[i, parents]))
-        if not others:
-            gaps.append(lo)
-        else:
-            gaps.append(lo - float(np.max(G[i, others])))
-    return gaps
+    parents = np.zeros((d, d), dtype=bool)
+    for i, row in enumerate(support.rows):
+        parents[i, list(row)] = True
+    n_parents = parents.sum(axis=1)
+    lo = np.where(parents, G, np.inf).min(axis=1)
+    hi = np.where(parents, -np.inf, G).max(axis=1)
+    # Rows without non-parents subtract 0; inf - inf is nan, as for Python floats.
+    with np.errstate(invalid="ignore"):
+        gaps = lo - np.where(n_parents < d, hi, 0.0)
+    return [None if k == 0 else g for k, g in zip(n_parents.tolist(), gaps.tolist())]
 
 
 def c_path(k: int, mu_bar: float, beta: float) -> float:

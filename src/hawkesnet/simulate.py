@@ -339,8 +339,6 @@ def simulate_cluster(
         for j, w in row:
             children_of[j].append((i, w / beta))
 
-    all_times: list[np.ndarray] = []
-    all_types: list[np.ndarray] = []
     total = 0  # events drawn so far, checked against the cap before each draw of times
 
     def count(n: int) -> None:
@@ -351,28 +349,22 @@ def simulate_cluster(
                 f"cluster simulation exceeded {MAX_EVENTS} events (gamma={params.gamma})"
             )
 
-    # roots
-    cur_times_parts = []
-    cur_types_parts = []
+    # Each generation is held as its events by node, each node's in the order
+    # drawn: the roots are drawn node by node, and every later generation is
+    # grouped by one stable sort on a node key narrow enough for a radix sort.
+    key = np.min_scalar_type(params.d - 1)
+    roots = []
     for v in range(params.d):
         n_roots = rng.poisson(params.mu[v] * span)
         count(n_roots)
-        ts = np.sort(t_lo + span * rng.uniform(size=n_roots))
-        cur_times_parts.append(ts)
-        cur_types_parts.append(np.full(n_roots, v, dtype=np.int64))
-    cur_times = np.concatenate(cur_times_parts)
-    cur_types = np.concatenate(cur_types_parts)
+        roots.append(np.sort(t_lo + span * rng.uniform(size=n_roots)))
+    generations = [roots]
 
-    while cur_times.size:
-        all_times.append(cur_times)
-        all_types.append(cur_types)
+    while True:
         next_times_parts = []
-        next_types_parts = []
-        for j in range(params.d):
-            if not children_of[j]:
-                continue
-            parent_ts = cur_times[cur_types == j]
-            if parent_ts.size == 0:
+        next_types = []  # the node of each part
+        for j, parent_ts in enumerate(generations[-1]):
+            if not children_of[j] or parent_ts.size == 0:
                 continue
             for i, mean_count in children_of[j]:
                 counts = rng.poisson(mean_count, size=parent_ts.size)
@@ -386,21 +378,19 @@ def simulate_cluster(
                 born = born[born <= T]
                 if born.size:
                     next_times_parts.append(born)
-                    next_types_parts.append(np.full(born.size, i, dtype=np.int64))
-        if next_times_parts:
-            cur_times = np.concatenate(next_times_parts)
-            cur_types = np.concatenate(next_types_parts)
-        else:
+                    next_types.append(i)
+        if not next_times_parts:
             break
+        types = np.repeat(np.array(next_types, dtype=key), [ts.size for ts in next_times_parts])
+        generations.append(_group_by_node(np.concatenate(next_times_parts), types, params.d))
 
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    types = np.concatenate(all_types) if all_types else np.empty(0, dtype=np.int64)
-    keep = times >= t_start
-    times, types = times[keep], types[keep]
-    per_node = tuple(np.sort(times[types == v]) for v in range(params.d))
+    per_node = []
+    for parts in zip(*generations):
+        times = np.concatenate(parts)
+        per_node.append(np.sort(times[times >= t_start]))
     return EventLog(
         d=params.d,
-        events=per_node,
+        events=tuple(per_node),
         t_start=t_start,
         t_end=T,
         seed=seed,
@@ -408,15 +398,26 @@ def simulate_cluster(
     )
 
 
+def _group_by_node(times: np.ndarray, nodes: np.ndarray, d: int) -> list[np.ndarray]:
+    """Each node's times, in their given order, from one stable sort by node.
+
+    With nodes held in ``np.min_scalar_type(d - 1)`` (16 bits or fewer up
+    to d = 65536) that stable sort is numpy's radix sort.
+    """
+    bounds = [0, *np.cumsum(np.bincount(nodes, minlength=d)).tolist()]
+    ordered = times[np.argsort(nodes, kind="stable")]
+    return [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _log_from_flat(d, times, nodes, t_start, t_end, seed, method) -> EventLog:
     """Group time-ordered (time, node) pairs by node in one stable sort."""
-    times_arr = np.asarray(times, dtype=np.float64)
-    nodes_arr = np.asarray(nodes, dtype=np.int64)
-    order = np.argsort(nodes_arr, kind="stable")
-    ends = np.cumsum(np.bincount(nodes_arr, minlength=d))
-    per_node = tuple(np.split(times_arr[order], ends[:-1]))
+    per_node = _group_by_node(
+        np.asarray(times, dtype=np.float64),
+        np.asarray(nodes, dtype=np.min_scalar_type(d - 1)),
+        d,
+    )
     return EventLog(
-        d=d, events=per_node, t_start=t_start, t_end=t_end, seed=seed, method=method
+        d=d, events=tuple(per_node), t_start=t_start, t_end=t_end, seed=seed, method=method
     )
 
 
@@ -584,8 +585,10 @@ def read_events_csv(path: str, meta_path: str) -> EventLog:
     rows = _parse_rows(body, d, window["t_start"], window["t_end"])
     if rows is None:
         _raise_at_bad_row(path, body, d, window["t_start"], window["t_end"])
+    del body  # the rows hold every value now; free the file's bytes before the sort
     nodes, times = rows
-    order = np.lexsort((times, nodes))
+    # A node key of 16 bits or fewer makes lexsort's stable pass a radix sort.
+    order = np.lexsort((times, nodes.astype(np.min_scalar_type(d - 1))))
     ends = np.cumsum(np.bincount(nodes, minlength=d))
     return EventLog(d=d, events=tuple(np.split(times[order], ends[:-1])), **window)
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hawkesnet import simulate
+from hawkesnet import estimator, simulate
 from hawkesnet.estimator import (
+    GRAM_EPS_REL,
     EstimatorConfig,
+    RecoveredNetwork,
+    RowRecovery,
     evaluate,
     local_least_squares,
     network_to_json,
@@ -305,6 +308,80 @@ def test_recover_matches_per_row_least_squares():
                 assert np.max(np.abs(row.coeffs - ref)) < 1e-10
                 assert row.support == threshold_support(ref, C, config.tau)
     assert degenerate > 0
+
+
+def _per_row_reference(sample, config):
+    """recover as one row at a time: lexsort candidates, one m x m solve each."""
+    F = screening_scores(sample)
+    stats = sample.statistics
+    z_mean = stats.z_sum / stats.n
+    cov = stats.ztz / stats.n - np.outer(z_mean, z_mean)
+    rows = []
+    for i in range(sample.d):
+        order = np.lexsort((np.arange(sample.d), -F[i]))
+        C = tuple(int(j) for j in order[:min(config.m, sample.d)])
+        idx = np.array(C)
+        gram, g = cov[np.ix_(idx, idx)], F[i, idx]
+        coeffs = None
+        if np.linalg.eigvalsh(gram)[0] > GRAM_EPS_REL * np.trace(gram) / len(g):
+            L = np.linalg.cholesky(gram)
+            coeffs = np.linalg.solve(L.T, np.linalg.solve(L, g))
+        rows.append(RowRecovery(
+            i=i, candidates=C, coeffs=coeffs,
+            support=frozenset() if coeffs is None else threshold_support(coeffs, C, config.tau),
+            degenerate=coeffs is None,
+        ))
+    return RecoveredNetwork(d=sample.d, rows=tuple(rows))
+
+
+@pytest.fixture(scope="module")
+def d40_samples():
+    params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=21)
+    cfg = EstimatorConfig.auto(alpha=0.2, w_minus=1.0, k=2)
+    sample = bin_and_clip(simulate_cluster(params, T=400.0, seed=22), params.beta, cfg.h, cfg.R)
+    # Copies of parent columns and a constant column: some rows, not all, degenerate.
+    columns = {30: sample.Z[:, 3], 17: sample.Z[:, 11], 5: sample.Z[:, 25],
+               8: np.full(sample.n, 0.7)}
+    return cfg, sample, _with_columns(sample, columns)
+
+
+@pytest.mark.parametrize("m, per_group", [(4, 16), (7, 9), (40, 13), (4, 1)])
+def test_grouped_recover_matches_per_row_reference(monkeypatch, d40_samples, m, per_group):
+    cfg, sample, modified = d40_samples
+    config = replace(cfg, m=m)
+    # The largest budget that still gives per_group rows a group.
+    monkeypatch.setattr(estimator, "_GROUP_ENTRIES", (per_group + 1) * m * m - 1)
+    groups = []
+    solve = estimator._solve_gram
+    monkeypatch.setattr(estimator, "_solve_gram", lambda gram, g: groups.append(len(g)) or solve(gram, g))
+    for case in (sample, modified):
+        net = recover(case, config)
+        ref = _per_row_reference(case, config)
+        assert network_to_json(net) == network_to_json(ref)
+    assert groups == 2 * ([per_group] * (40 // per_group) + [40 % per_group] * (40 % per_group > 0))
+    flags = [row.degenerate for row in net.rows]
+    if m < 40:
+        assert any(flags) and not all(flags)  # degenerate rows inside groups
+    else:
+        assert all(flags)
+
+
+def test_recover_stacks_gram_blocks_within_the_budget_at_m_equal_to_d():
+    # m = d = 200: one (d, m, m) stack of every row's Gram block would take 64 MB.
+    d, n = 200, 400
+    rng = np.random.default_rng(5)
+    sample = make_sample(rng.random((n, d)), rng.random((n, d)) < 0.3)
+    sample.statistics  # the grid sums, before the trace starts
+    config = EstimatorConfig(h=0.1, R=1.0, m=d, tau=0.01)
+    tracemalloc.start()
+    try:
+        net = recover(sample, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(row.degenerate for row in net.rows)
+    assert peak < 0.1 * d * d * d * 8
 
 
 class TestEvaluate:

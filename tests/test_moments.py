@@ -2,10 +2,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hawkesnet.model import (
     HawkesParams,
     SparseInteractionMatrix,
+    TrueSupport,
     sample_random_instance,
     support_of,
 )
@@ -201,6 +204,44 @@ class TestScreeningScores:
         floor = 1.0 * 1.0 / (4 * 1.0) * alpha  # mu_- w_- alpha / (4 beta)
         for g in gaps:
             assert g is not None and g >= floor
+
+
+def _per_row_gap(G, support):
+    """screening_gap by its definition, one row at a time."""
+    gaps = []
+    for i, parents in enumerate(support.rows):
+        others = [j for j in range(support.d) if j not in parents]
+        if not parents:
+            gaps.append(None)
+        elif not others:
+            gaps.append(float(np.min(G[i, sorted(parents)])))
+        else:
+            gaps.append(float(np.min(G[i, sorted(parents)])) - float(np.max(G[i, others])))
+    return gaps
+
+
+@st.composite
+def gap_cases(draw):
+    d = draw(st.integers(1, 7))
+    # Scores from a small set, so that ties are common.
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 2.0]) | st.floats(-1e6, 1e6)
+    G = np.array(draw(st.lists(values, min_size=d * d, max_size=d * d))).reshape(d, d)
+    rows = draw(st.lists(st.frozensets(st.integers(0, d - 1)), min_size=d, max_size=d))
+    return G, TrueSupport(d=d, rows=tuple(rows))
+
+
+@given(gap_cases())
+@example((np.array([[0.5, 0.5], [0.5, 0.25]]),
+          TrueSupport(d=2, rows=(frozenset({0, 1}), frozenset()))))
+@example((np.array([[2.0, -1.5, 2.0], [0.0, 0.0, 0.0], [0.5, 0.25, 0.5]]),
+          TrueSupport(d=3, rows=(frozenset({0}), frozenset({0, 1, 2}), frozenset({1})))))
+def test_screening_gap_matches_per_row_definition(case):
+    G, support = case
+    got = screening_gap(G, support)
+    want = _per_row_gap(G, support)
+    assert [None if g is None else np.float64(g).tobytes() for g in got] == \
+        [None if g is None else np.float64(g).tobytes() for g in want]
+    assert all(g is None or type(g) is float for g in got)
 
 
 class TestCPath:

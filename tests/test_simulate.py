@@ -315,6 +315,117 @@ class TestCluster:
         assert _read_peak(run) < 100_000  # one node's 1e6 root times alone take 8 MB
 
 
+def _masked_reference_cluster(params, T, burn_in=None, seed=0):
+    """The cluster construction with one mask per node over each generation."""
+    t_start, T = simulate._window(params, T, burn_in)
+    rng = np.random.default_rng(seed)
+    beta = params.beta
+    t_lo = t_start - simulate.TAU_EXTEND_OVER_BETA / beta
+    span = T - t_lo
+    children_of = [[] for _ in range(params.d)]
+    for i, row in enumerate(params.theta.rows):
+        for j, w in row:
+            children_of[j].append((i, w / beta))
+    total = 0
+
+    def count(n):
+        nonlocal total
+        total += n
+        if total > simulate.MAX_EVENTS:
+            raise simulate.SimulationCapError(f"exceeded {simulate.MAX_EVENTS} events")
+
+    cur_times, cur_types = [], []
+    for v in range(params.d):
+        n_roots = rng.poisson(params.mu[v] * span)
+        count(n_roots)
+        cur_times.append(np.sort(t_lo + span * rng.uniform(size=n_roots)))
+        cur_types.append(np.full(n_roots, v, dtype=np.int64))
+    cur_times, cur_types = np.concatenate(cur_times), np.concatenate(cur_types)
+    all_times, all_types = [], []
+    while cur_times.size:
+        all_times.append(cur_times)
+        all_types.append(cur_types)
+        next_times, next_types = [], []
+        for j in range(params.d):
+            parent_ts = cur_times[cur_types == j]
+            if not children_of[j] or parent_ts.size == 0:
+                continue
+            for i, mean_count in children_of[j]:
+                counts = rng.poisson(mean_count, size=parent_ts.size)
+                n_children = int(counts.sum())
+                if n_children == 0:
+                    continue
+                count(n_children)
+                born = np.repeat(parent_ts, counts) + rng.exponential(1.0 / beta, size=n_children)
+                born = born[born <= T]
+                if born.size:
+                    next_times.append(born)
+                    next_types.append(np.full(born.size, i, dtype=np.int64))
+        if not next_times:
+            break
+        cur_times, cur_types = np.concatenate(next_times), np.concatenate(next_types)
+    times = np.concatenate(all_times) if all_times else np.empty(0)
+    types = np.concatenate(all_types) if all_types else np.empty(0, dtype=np.int64)
+    keep = times >= t_start
+    times, types = times[keep], types[keep]
+    return tuple(np.sort(times[types == v]) for v in range(params.d))
+
+
+def _cluster_case(d, seed):
+    return sample_random_instance(d=d, k=min(2, d), alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                  mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=seed)
+
+
+# The node key is uint8 up to d = 256 and uint16 above.
+@pytest.mark.parametrize("d", [1, 2, 255, 256, 257, 300])
+def test_cluster_log_matches_masked_per_node_reference(d):
+    params = _cluster_case(d, seed=d)
+    T = 3000.0 / d if d > 2 else 500.0
+    log = simulate_cluster(params, T=T, seed=d + 1)
+    ref = _masked_reference_cluster(params, T=T, seed=d + 1)
+    assert log.total_events() > 10 * d
+    assert len(log.events) == d
+    for ts, want in zip(log.events, ref):
+        assert ts.dtype == want.dtype and ts.tobytes() == want.tobytes()
+
+
+class _RecordingGenerator:
+    """A numpy generator that records the size of each draw of event times."""
+
+    def __init__(self, seed, drawn):
+        self._rng, self.drawn = np.random.Generator(np.random.PCG64(seed)), drawn
+
+    def poisson(self, lam, size=None):
+        return self._rng.poisson(lam, size=size)
+
+    def uniform(self, size):
+        self.drawn.append(size)
+        return self._rng.uniform(size=size)
+
+    def exponential(self, scale, size):
+        self.drawn.append(size)
+        return self._rng.exponential(scale, size=size)
+
+
+@pytest.mark.parametrize("d", [2, 257])
+def test_cluster_cap_raises_before_the_draw_that_would_pass_it(monkeypatch, d):
+    params = _cluster_case(d, seed=3)
+    T = 3000.0 / d
+    full = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingGenerator(seed, full))
+    simulate_cluster(params, T=T, seed=4)
+    # A cap inside the children's draws: every root is drawn, then the run stops.
+    cap = sum(full[:d]) + sum(full[d:]) // 2
+    monkeypatch.setattr(simulate, "MAX_EVENTS", cap)
+    drawn, ref_drawn = [], []
+    for sim, sink in ((simulate_cluster, drawn), (_masked_reference_cluster, ref_drawn)):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingGenerator(seed, sink))
+        with pytest.raises(simulate.SimulationCapError, match=f"exceeded {cap} events"):
+            sim(params, T=T, seed=4)
+    assert drawn == ref_drawn == full[:len(drawn)]
+    assert sum(drawn) <= cap < sum(full[:len(drawn) + 1])
+
+
 class TestStateAt:
     def test_no_events(self):
         log = manual_log(1, [[]])
@@ -716,8 +827,10 @@ def _read_peak(read):
 
 
 def test_event_csv_read_peak_memory_is_a_few_file_sizes(tmp_path):
+    # Parsed rows take 16 bytes and the file about 22 a row: the reader frees
+    # the file's bytes before its sort by node, which holding them took to 2.8.
     path, meta = _d40_event_csv(tmp_path)
-    assert _read_peak(lambda: read_events_csv(path, meta)) < 4 * os.path.getsize(path)
+    assert _read_peak(lambda: read_events_csv(path, meta)) < 2.3 * os.path.getsize(path)
 
 
 def test_event_csv_bad_last_row_peak_memory_is_a_few_file_sizes(tmp_path):
@@ -741,6 +854,26 @@ def test_event_csv_quoted_read_peak_memory_is_a_few_file_sizes(tmp_path):
     for x, y in zip(back.events, want.events):
         assert x.tobytes() == y.tobytes()
     assert _read_peak(lambda: read_events_csv(str(quoted), meta)) < 4 * quoted.stat().st_size
+
+
+# The node key is uint8 up to d = 256 and uint16 above.
+@pytest.mark.parametrize("d", [256, 257, 300])
+def test_event_csv_read_groups_shuffled_rows_like_an_int64_lexsort(tmp_path, d):
+    rng = np.random.default_rng(d)
+    nodes = rng.integers(0, d, 20 * d)
+    nodes[:2 * d] = np.arange(2 * d) % d  # every node, the last ones included
+    # Times from a small set: equal times on different nodes and on one node.
+    times = rng.choice(np.linspace(-1.0, 10.0, 4 * d), size=nodes.size)
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    write_events_csv(manual_log(d, [[]] * d), path, meta)
+    with open(path, "a", newline="") as f:
+        f.writelines(f"{j},{t!r}\r\n" for j, t in zip(nodes.tolist(), times.tolist()))
+    back = read_events_csv(path, meta)
+    order = np.lexsort((times, nodes))
+    want = np.split(times[order], np.cumsum(np.bincount(nodes, minlength=d))[:-1])
+    assert len(back.events) == d
+    for got, ref in zip(back.events, want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def _write_with_row(tmp_path, row):
