@@ -180,6 +180,21 @@ def number(name: str, value, *, integer: bool = False, positive: bool = False,
     return value
 
 
+# Most nodes an input may name where hawkesnet builds dense d×d arrays: an
+# event log's side-car, a sweep spec's d_values and a model given to the
+# moment oracles. At this d, the two grid statistics of a recovery take
+# 16(d+1)² bytes (0.27 GB), the covariance solve 5·8·d² (0.67 GB), and
+# `hawkesnet oracle`, which prints Σ and G as JSON, about 22·8·d² (3 GB).
+MAX_DENSE_D = 2**12
+
+
+def require_dense_d(d: int, where: str = "") -> None:
+    """Raise ValueError if d is above MAX_DENSE_D, before anything of size d is built."""
+    if d > MAX_DENSE_D:
+        raise ValueError(f"{where}d={d} is above MAX_DENSE_D = {MAX_DENSE_D}, "
+                         f"the most nodes of a dense d×d computation")
+
+
 def require_subcritical(k, theta_plus, beta) -> None:
     """Raise ValueError unless beta is positive and finite and gamma = k*theta_plus/beta < 1."""
     if not 0 < beta < math.inf:

@@ -6,9 +6,9 @@ Sigma of the state X(0) solving the continuous Lyapunov equation
 
     (Theta - beta*I) Sigma + Sigma (Theta - beta*I)^T = -diag(beta*m)
 
-in one Bartels-Stewart solve, the population screening scores
-G_ij = Cov(X_j(0), lambda_i(0)), and the aggregated-parent second moment
-used by the information lower bound.
+by Smith's doubling on its Cayley transform, with numpy alone, the
+population screening scores G_ij = Cov(X_j(0), lambda_i(0)), and the
+aggregated-parent second moment used by the information lower bound.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HawkesParams, TrueSupport, require_subcritical
+from .model import HawkesParams, TrueSupport, require_dense_d, require_subcritical
 
 __all__ = [
     "StationaryMoments",
@@ -40,24 +40,45 @@ class StationaryMoments:
 def stationary_mean(params: HawkesParams) -> np.ndarray:
     """Solve (beta*I - Theta) m = mu, nonsingular for gamma < 1."""
     require_subcritical(params.k, params.theta_plus, params.beta)
+    require_dense_d(params.d)
     theta = params.theta.to_dense()
     return np.linalg.solve(params.beta * np.eye(params.d) - theta, params.mu)
+
+
+# Doublings before the covariance solve gives up. The error after n of them
+# shrinks like rho(P)^(2^n), with rho(P) <= gamma/(2 - gamma): 5 doublings
+# at gamma = 0.4, 14 at 0.999 and 44 at 1 - 1e-12 on a d=7 instance.
+_MAX_DOUBLINGS = 64
 
 
 def stationary_covariance(params: HawkesParams, m: np.ndarray) -> np.ndarray:
     """Solve (Theta - beta*I) Sigma + Sigma (Theta - beta*I)^T = -diag(beta*m).
 
-    Theta - beta*I is stable for gamma < 1, so the solution is unique and
-    its cost does not grow as gamma approaches 1.
+    The Cayley transform with shift beta turns the equation into
+    Sigma = P Sigma P^T + S0, with M = (Theta - 2 beta I)^-1, P = Theta M
+    and S0 = 2 beta M diag(beta*m) M^T, whose solution is the sum of
+    P^j S0 (P^j)^T over j >= 0. Smith's (1968) doubling sums it: each step
+    adds P S P^T to S, which doubles the number of terms in S, and squares
+    P. Every row of Theta sums to at most gamma*beta, so ||P||_inf <=
+    gamma/(2 - gamma) < 1, and the steps needed grow like log(1/(1 - gamma)).
     """
-    # scipy is imported here alone: no other path of hawkesnet needs it.
-    from scipy.linalg import solve_continuous_lyapunov
-
     require_subcritical(params.k, params.theta_plus, params.beta)
-    a = params.theta.to_dense() - params.beta * np.eye(params.d)
-    sigma = solve_continuous_lyapunov(a, -np.diag(params.beta * np.asarray(m)))
-    # enforce exact symmetry against fp drift
-    return 0.5 * (sigma + sigma.T)
+    require_dense_d(params.d)
+    beta = params.beta
+    theta = params.theta.to_dense()
+    resolvent = np.linalg.inv(theta - 2.0 * beta * np.eye(params.d))
+    p = theta @ resolvent
+    s = (2.0 * beta) * (resolvent * (beta * np.asarray(m))) @ resolvent.T
+    del theta, resolvent  # only P and S live through the loop
+    for _ in range(_MAX_DOUBLINGS):
+        s_next = p @ s @ p.T
+        s_next += s
+        if np.array_equal(s_next, s):  # the step no longer changes S at rounding
+            # enforce exact symmetry against fp drift
+            return 0.5 * (s + s.T)
+        s = s_next
+        p = p @ p
+    raise ValueError(f"stationary covariance: no convergence in {_MAX_DOUBLINGS} doublings")
 
 
 def stationary_moments(params: HawkesParams) -> StationaryMoments:

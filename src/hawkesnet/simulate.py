@@ -23,7 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .model import HawkesParams, number
+from .model import HawkesParams, number, require_dense_d
 
 __all__ = [
     "EventLog",
@@ -607,6 +607,7 @@ def _read_meta(meta_path: str) -> tuple[int, dict]:
         raise ValueError(f"{meta_path}: {exc}") from None
     if d < 1:
         raise ValueError(f"{meta_path}: d={d!r} is not a positive integer")
+    require_dense_d(d, f"{meta_path}: ")
     if not t_start <= 0 < t_end:
         raise ValueError(f"{meta_path}: need t_start <= 0 < t_end, got {t_start!r}, {t_end!r}")
     return d, dict(t_start=float(t_start), t_end=float(t_end), seed=seed, method=method)

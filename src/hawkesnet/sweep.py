@@ -20,7 +20,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorConfig, evaluate, recover
-from .model import number, require_subcritical, sample_random_instance, support_of
+from .model import (
+    number,
+    require_dense_d,
+    require_subcritical,
+    sample_random_instance,
+    support_of,
+)
 from .seeding import mix64, trial_seed
 from .simulate import bin_and_clip, simulate_cluster, simulate_thinning
 
@@ -84,7 +90,7 @@ class SweepSpec:
             for name in ("trials", "k", "jobs", "base_seed"):
                 number(name, getattr(self, name), integer=True)
             for d in self.d_values:
-                number("d_values", d, integer=True)
+                require_dense_d(number("d_values", d, integer=True), "d_values: ")
             for name in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
                 number(name, getattr(self, name), positive=True)
             if len(self.T_bracket) != 2:

@@ -11,7 +11,12 @@ import pytest
 
 from hawkesnet import cli, estimator, simulate, sweep
 from hawkesnet.cli import EXIT_SIM_CAP, EXIT_SPEC_ERROR, main
-from hawkesnet.model import params_from_json, params_to_json, sample_random_instance
+from hawkesnet.model import (
+    MAX_DENSE_D,
+    params_from_json,
+    params_to_json,
+    sample_random_instance,
+)
 from hawkesnet.simulate import SimulationCapError
 from hawkesnet.sweep import SweepSpec, read_results_csv
 
@@ -212,8 +217,8 @@ def test_cli_import_leaves_out_scipy_signal():
 
 
 def test_simulate_and_recover_load_no_scipy_and_oracle_still_runs(tmp_path, model_file):
-    # scipy is the oracle's alone: a simulate and a recover in one process
-    # load none of it, and an oracle after them still prints the moments.
+    # hawkesnet runs on numpy alone: a simulate, a recover and an oracle in
+    # one process load no scipy module, and the oracle prints the moments.
     events, net = tmp_path / "events.csv", tmp_path / "net.json"
     code = (
         "import json, sys\n"
@@ -224,12 +229,14 @@ def test_simulate_and_recover_load_no_scipy_and_oracle_still_runs(tmp_path, mode
         f" '--alpha', '0.3', '--w-minus', '1.0', '--k', '1', '--out', {str(net)!r}]) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
         f"assert main(['oracle', '--model', {model_file!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
                          capture_output=True, text=True).stdout
-    loaded, oracle = out.split("\n", 1)
+    loaded, oracle, loaded_after_oracle = out.splitlines()
     assert json.loads(loaded) == []
+    assert json.loads(loaded_after_oracle) == []
     assert len(json.loads(net.read_text())["rows"]) == 5
     doc = json.loads(oracle)
     assert len(doc["m"]) == 5 and len(doc["sigma"]) == 5 and len(doc["gaps"]) == 5
@@ -302,6 +309,8 @@ def _spec_doc(**overrides):
     pytest.param(_spec_doc(trials=0), "trials", id="trials-0"),
     pytest.param(_spec_doc(trials=1.5), "trials", id="trials-float"),
     pytest.param(_spec_doc(d_values=[4.5]), "d_values", id="d-float"),
+    pytest.param(_spec_doc(d_values=[4, 10**6]), "d_values: d=1000000 is above MAX_DENSE_D",
+                 id="d-above-cap"),
     pytest.param(_spec_doc(k=1.5), "k ", id="k-float"),
     pytest.param(_spec_doc(jobs=1.5), "jobs", id="jobs-float"),
     pytest.param(_spec_doc(estimator={"h": 0.09, "R": 4.0, "m": 2.5, "tau": 0.01}), "m ",
@@ -494,6 +503,53 @@ def test_bad_side_car_exits_2(tmp_path, model_file, capsys, field, value):
     meta.write_text(json.dumps(doc))
     assert main(_recover_args(str(events), str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
     assert "e.meta.json" in _one_line_error(capsys)
+
+
+def _two_row_log(tmp_path, d):
+    events, meta = tmp_path / "e.csv", tmp_path / "e.meta.json"
+    events.write_text("node,time\n0,0.5\n1,1.5\n")
+    meta.write_text(json.dumps({"d": d, "t_start": 0.0, "t_end": 10.0,
+                                "seed": 1, "method": "cluster"}))
+    return str(events), str(meta)
+
+
+def test_side_car_d_beyond_int64_exits_2(tmp_path, capsys):
+    events, _ = _two_row_log(tmp_path, 2**63)
+    assert main(_recover_args(events, str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    err = _one_line_error(capsys)
+    assert "e.meta.json" in err and "MAX_DENSE_D" in err
+    assert not (tmp_path / "n.json").exists()
+
+
+def test_side_car_d_above_cap_is_refused_before_allocating(tmp_path, capsys):
+    # Read in full, a d of 10^6 built 160 MB of per-node arrays for a two-row
+    # log, and recover's grid statistics would then ask for 16 TB.
+    events, meta = _two_row_log(tmp_path, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_DENSE_D = 4096"):
+            simulate.read_events_csv(events, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert main(_recover_args(events, str(tmp_path / "n.json"))) == EXIT_SPEC_ERROR
+    assert "MAX_DENSE_D" in _one_line_error(capsys)
+
+
+def test_oracle_refuses_model_above_cap_before_allocating(tmp_path, capsys):
+    d = MAX_DENSE_D + 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**GOOD_MODEL, "d": d, "mu": [1.0] * d}))
+    tracemalloc.start()
+    try:
+        rc = main(["oracle", "--model", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_SPEC_ERROR
+    assert f"d={d} is above MAX_DENSE_D" in _one_line_error(capsys)
+    assert peak < 8 * d * d // 4  # a dense Theta alone is 8·d² bytes
 
 
 @pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])

@@ -142,6 +142,48 @@ class TestStationaryCovariance:
                      - np.diag(p.beta * m))
             assert np.max(np.abs(resid)) < 1e-10
 
+    @staticmethod
+    def relative_residual(p, m, sigma):
+        theta = p.theta.to_dense()
+        resid = (2 * p.beta * sigma - theta @ sigma - sigma @ theta.T
+                 - np.diag(p.beta * m))
+        return np.max(np.abs(resid)) / np.max(np.abs(sigma))
+
+    @pytest.mark.parametrize("case", [
+        # Node 0 is the parent of every other node: one column sums to
+        # (d-1)*w, and Theta is far from normal.
+        pytest.param(lambda: make_params(30, [()] + [((0, 0.9),)] * 29,
+                                         mu=np.linspace(0.5, 1.5, 30), alpha=0.9), id="hub"),
+        # A directed chain: Theta is nilpotent, a single Jordan block.
+        pytest.param(lambda: make_params(40, [()] + [((i, 0.8),) for i in range(39)],
+                                         mu=np.linspace(0.5, 1.5, 40), alpha=0.8), id="chain"),
+        pytest.param(lambda: near_critical_instance(0.999, d=7, seed=3), id="gamma-0.999"),
+    ])
+    def test_matches_dense_solve_on_hard_cases(self, case):
+        p = case()
+        m = stationary_mean(p)
+        sigma = stationary_covariance(p, m)
+        assert np.array_equal(sigma, sigma.T)
+        dense = dense_lyapunov(p, m)
+        assert np.max(np.abs(sigma - dense)) < 1e-8 * max(1.0, np.max(np.abs(dense)))
+        assert self.relative_residual(p, m, sigma) <= 1e-12
+
+    def test_converges_next_to_criticality(self):
+        # rho(P) is about 1 - 2e-12 here, and Sigma reaches 1e23. The dense
+        # solve's own condition number is about 1e12, so only the residual
+        # is checked.
+        p = near_critical_instance(1 - 1e-12, d=7, seed=3)
+        m = stationary_mean(p)
+        sigma = stationary_covariance(p, m)
+        assert self.relative_residual(p, m, sigma) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(sigma)) > -1e-12 * np.max(sigma)
+
+    def test_stops_within_the_doubling_cap(self):
+        # NaN never equals itself, so the doubling cannot settle.
+        p = random_instance(d=4, seed=1)
+        with pytest.raises(ValueError, match="doublings"):
+            stationary_covariance(p, np.full(4, np.nan))
+
     def test_small_alpha_limit(self):
         # diagonal -> mu/(2 beta), off-diagonal -> 0 as alpha -> 0
         prev_off = np.inf
