@@ -96,15 +96,38 @@ def _cmd_oracle(args) -> int:
     G = population_screening_scores(params, mom.sigma)
     gaps = screening_gap(G, support_of(params))
     doc = {
-        "m": mom.m.tolist(),
-        "lambda_bar": mom.lambda_bar.tolist(),
-        "sigma": mom.sigma.tolist(),
-        "G": G.tolist(),
+        "m": mom.m,
+        "lambda_bar": mom.lambda_bar,
+        "sigma": mom.sigma,
+        "G": G,
         "gaps": gaps,
     }
-    # json.dumps encodes in C; json.dump to a stream takes the pure-Python encoder.
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_json_by_rows(sys.stdout, doc)
     return 0
+
+
+def _write_json_by_rows(out, doc: dict) -> None:
+    """Write the text of json.dumps(doc, sort_keys=True, separators=(",", ":")) and a newline.
+
+    An array value is encoded one row (or entry) at a time, so no list of
+    all its entries is built. Each piece goes through json.dumps, which
+    encodes in C; json.dump to a stream takes the pure-Python encoder.
+    """
+    def dumps(value) -> str:
+        return json.dumps(value, separators=(",", ":"))
+
+    out.write("{")
+    for k, key in enumerate(sorted(doc)):
+        value = doc[key]
+        out.write(("," if k else "") + dumps(key) + ":")
+        if isinstance(value, np.ndarray):
+            out.write("[")
+            for r, row in enumerate(value):
+                out.write(("," if r else "") + dumps(row.tolist()))
+            out.write("]")
+        else:
+            out.write(dumps(value))
+    out.write("}\n")
 
 
 def _cmd_fano(args) -> int:

@@ -183,8 +183,9 @@ def number(name: str, value, *, integer: bool = False, positive: bool = False,
 # Most nodes an input may name where hawkesnet builds dense d×d arrays: an
 # event log's side-car, a sweep spec's d_values and a model given to the
 # moment oracles. At this d, the two grid statistics of a recovery take
-# 16(d+1)² bytes (0.27 GB), the covariance solve 5·8·d² (0.67 GB), and
-# `hawkesnet oracle`, which prints Σ and G as JSON, about 22·8·d² (3 GB).
+# 16(d+1)² bytes (0.27 GB), and the covariance solve 5·8·d² (0.67 GB), which
+# also sets the peak of `hawkesnet oracle`: it prints Σ and G as JSON one
+# row at a time, about 5.1·8·d² in all (0.7 GB).
 MAX_DENSE_D = 2**12
 
 

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkesnet import cli, estimator, simulate, sweep
 from hawkesnet.cli import EXIT_SIM_CAP, EXIT_SPEC_ERROR, main
@@ -121,6 +128,37 @@ def test_oracle_output(capsys, model_file):
     assert len(doc["m"]) == 5
     assert len(doc["sigma"]) == 5 and len(doc["sigma"][0]) == 5
     assert len(doc["gaps"]) == 5
+
+
+def test_oracle_peak_is_the_solve_not_the_json(tmp_path):
+    # Σ and G as whole lists of floats before one encoding peaked at about
+    # 21.5·8·d² here; the covariance solve alone peaks at 5·8·d².
+    d = 320
+    params = sample_random_instance(d=d, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=6)
+    path = tmp_path / "model.json"
+    path.write_text(params_to_json(params))
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            rc = main(["oracle", "--model", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    assert peak < 6 * 8 * d * d
+
+
+def test_oracle_json_by_rows_is_the_text_of_one_dumps():
+    sigma = np.array([[1.0, math.nan], [0.1, 2.5e-300]])
+    G = np.array([[math.inf, -0.0], [1e300, 1 / 3]])
+    doc = {"m": [1.0, 2.0], "lambda_bar": [0.5, 3.0], "sigma": sigma, "G": G,
+           "gaps": [math.nan, None]}
+    out = io.StringIO()
+    cli._write_json_by_rows(out, doc)
+    whole = {**doc, "sigma": sigma.tolist(), "G": G.tolist()}
+    assert out.getvalue() == json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"
+    assert '"gaps":[NaN,null]' in out.getvalue()
 
 
 def test_fano_point_and_curve(tmp_path, capsys):
@@ -629,3 +667,103 @@ def test_event_cap_aborts_simulation_with_exit_3(tmp_path, model_file, capsys, m
     err = capsys.readouterr().err
     assert err.startswith("simulation aborted: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+# Values a mutated file may hold. Integers stay small, so a mutated d or node
+# index names at most 12 nodes and the run allocates little; floats range
+# over every double, infinities and NaN included, and a few large ones are
+# drawn more often, as horizons and rates.
+_FUZZ_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+    st.sampled_from([10**400, -10**400, 1e12, 1e308]), st.text(max_size=3),
+)
+_FUZZ_VALUES = st.recursive(
+    _FUZZ_SCALARS,
+    lambda inner: st.lists(inner, max_size=12) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=16,
+)
+
+
+def _mutated_doc(data, doc):
+    """doc with one or two fields, list entries or edge fields replaced or removed."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from([*doc, "extra"]))
+        where, field = doc, key
+        if isinstance(doc.get(key), list) and doc[key] and data.draw(st.booleans()):
+            where, field = doc[key], data.draw(st.integers(0, len(doc[key]) - 1))
+            if isinstance(where[field], dict) and where[field] and data.draw(st.booleans()):
+                where, field = where[field], data.draw(st.sampled_from(sorted(where[field])))
+        if data.draw(st.booleans()):
+            where[field] = data.draw(_FUZZ_VALUES)
+        elif isinstance(where, list):
+            del where[field]
+        else:
+            where.pop(field, None)
+    return doc
+
+
+def _mutated_text(data, text):
+    """text with lines replaced, removed or repeated, or cut short."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        at = data.draw(st.integers(0, len(lines) - 1))
+        action = data.draw(st.sampled_from(["replace", "remove", "repeat", "cut"]))
+        if action == "replace":
+            lines[at] = data.draw(st.text(max_size=12)) + data.draw(
+                st.sampled_from(["\r\n", "\n", "\r", ""]))
+        elif action == "remove":
+            del lines[at]
+        elif action == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at])))]
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_exit_0_2_or_3(data):
+    command = data.draw(st.sampled_from(["thinning", "cluster", "oracle", "recover"]))
+    params = sample_random_instance(d=3, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, events = os.path.join(tmp, "model.json"), os.path.join(tmp, "e.csv")
+        meta = os.path.join(tmp, "e.meta.json")
+        if command == "recover":
+            simulate.write_events_csv(simulate.simulate_cluster(params, 20.0, seed=1),
+                                      events, meta)
+            with open(meta) as f:
+                side_car = _mutated_doc(data, json.load(f)) if data.draw(st.booleans()) else None
+            if side_car is not None:
+                with open(meta, "w") as f:
+                    f.write(json.dumps(side_car))
+            if side_car is None or data.draw(st.booleans()):
+                with open(events, newline="") as f:
+                    text = _mutated_text(data, f.read())
+                with open(events, "w", encoding="utf-8", newline="") as f:
+                    f.write(text)
+            argv = _recover_args(events, os.path.join(tmp, "n.json"))
+        else:
+            doc = _mutated_doc(data, json.loads(params_to_json(params)))
+            with open(model, "w") as f:
+                f.write(json.dumps(doc))
+            argv = (["oracle", "--model", model] if command == "oracle" else
+                    ["simulate", "--model", model, "--T", "20", "--seed", "1",
+                     "--method", command, "--out", events])
+        err = io.StringIO()
+        # A mutated rate can ask for billions of events: the cap ends the run at 10^4.
+        with mock.patch.object(simulate, "MAX_EVENTS", 10**4), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, EXIT_SPEC_ERROR, EXIT_SIM_CAP)
+    err = err.getvalue()
+    if rc == EXIT_SPEC_ERROR:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    elif rc == EXIT_SIM_CAP:
+        assert err.startswith("simulation aborted: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

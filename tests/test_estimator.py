@@ -97,16 +97,22 @@ class TestScreeningScores:
         with pytest.raises(ValueError, match="at least 2"):
             screening_scores(s)
 
-    @pytest.mark.parametrize("n", [2, 4095, 4096, 4097, 3 * 4096 + 1])
-    def test_blocked_product_matches_dense_reference(self, n):
+    # d = 5 and 63 take one product per chunk, d = 64 and 65 the two products.
+    @pytest.mark.parametrize("n, d", [
+        *(pytest.param(n, 5, id=str(n)) for n in (2, 4095, 4096, 4097, 3 * 4096 + 1)),
+        *(pytest.param(4097, d, id=f"4097-d{d}") for d in
+          (simulate._ONE_PRODUCT_BELOW_D - 1, simulate._ONE_PRODUCT_BELOW_D,
+           simulate._ONE_PRODUCT_BELOW_D + 1)),
+    ])
+    def test_blocked_product_matches_dense_reference(self, n, d):
         assert simulate.CHUNK_BINS == 4096
         rng = np.random.default_rng(n)
-        Z = np.asfortranarray(rng.random((n, 5)) * 3.0)
-        Y = (rng.random((n, 5)) < 0.2 + 0.1 * Z).astype(np.uint8, order="F")
+        Z = np.asfortranarray(rng.random((n, d)) * 3.0)
+        Y = (rng.random((n, d)) < 0.2 + 0.1 * Z).astype(np.uint8, order="F")
         F = screening_scores(make_sample(Z, Y))
         Yf = Y.astype(float)
         ref = (Yf.T @ Z) / n - np.outer(Yf.mean(axis=0), Z.mean(axis=0))
-        assert F.shape == (5, 5) and F.dtype == np.float64
+        assert F.shape == (d, d) and F.dtype == np.float64
         assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_holds_no_n_by_d_float_copy(self):

@@ -22,6 +22,7 @@ from hawkesnet.model import (
 )
 from hawkesnet.moments import stationary_mean
 from hawkesnet.simulate import (
+    BinnedSample,
     EventLog,
     bin_and_clip,
     read_events_csv,
@@ -31,6 +32,8 @@ from hawkesnet.simulate import (
     write_events_csv,
 )
 from hawkesnet.seeding import mix64
+
+from compensator import ks_exp1_pvalue, rescaled_gaps
 
 
 def poisson_params(d=3, rate=1.0, beta=1.0):
@@ -426,6 +429,21 @@ def test_cluster_cap_raises_before_the_draw_that_would_pass_it(monkeypatch, d):
     assert sum(drawn) <= cap < sum(full[:len(drawn) + 1])
 
 
+# Criterion 7's class at d = 20, T = 2000: about 66 k events a log. The seeds
+# and the bound p > 1e-3 were fixed before the test first ran.
+@pytest.mark.parametrize("simulate_fn", [simulate_thinning, simulate_cluster])
+def test_time_rescaled_gaps_are_exp1(simulate_fn):
+    params = sample_random_instance(d=20, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=20)
+    for seed in (1, 2):
+        log = simulate_fn(params, T=2000.0, seed=seed)
+        gaps = rescaled_gaps(log, params)
+        assert gaps.size > 60_000
+        assert ks_exp1_pvalue(gaps) > 1e-3, seed
+    # The same log read with a wrong decay rate fails by far.
+    assert ks_exp1_pvalue(rescaled_gaps(log, dataclasses.replace(params, beta=1.2))) < 1e-12
+
+
 class TestStateAt:
     def test_no_events(self):
         log = manual_log(1, [[]])
@@ -599,6 +617,19 @@ class TestBinAndClip:
         chunk = simulate.CHUNK_BINS * d * 8
         assert peak < n * d * (8 + 1) + 3 * chunk  # Z, Y, one chunk's buffers and events
 
+    @pytest.mark.parametrize("d", [5, simulate._ONE_PRODUCT_BELOW_D])
+    def test_statistics_of_a_log_and_of_its_arrays_agree(self, d):
+        # n = 10000 grid points: three chunks, by either product route.
+        params = sample_random_instance(d=d, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                        mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=d)
+        s = bin_and_clip(simulate_cluster(params, T=400.0, seed=1), 1.0, 0.04, 5.0)
+        from_log, from_arrays = s.statistics, BinnedSample(s.n, s.h, s.R, s.Z, s.Y).statistics
+        assert from_log.n == from_arrays.n == 10000
+        assert np.array_equal(from_log.y_sum, from_arrays.y_sum)
+        for got, want in ((from_log.z_sum, from_arrays.z_sum), (from_log.ytz, from_arrays.ytz),
+                          (from_log.ztz, from_arrays.ztz)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
     def test_n_and_d_do_not_bin_again(self, monkeypatch):
         passes = []
         chunks = simulate._binned_chunks
@@ -610,8 +641,13 @@ class TestBinAndClip:
         assert s.Z.shape == s.Y.shape == (12, 2) and len(passes) == 2
         assert s.Y.sum() == 3 and len(passes) == 2
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 2 * 4096 + 1])
-    def test_statistics_across_chunk_edges_match_dense_reference(self, n):
+    # d = 3 takes one product per chunk, d = 64 and 65 the two products.
+    @pytest.mark.parametrize("n, d", [
+        *(pytest.param(n, 3, id=str(n)) for n in (1, 4095, 4096, 4097, 2 * 4096 + 1)),
+        *(pytest.param(4097, d, id=f"4097-d{d}") for d in
+          (simulate._ONE_PRODUCT_BELOW_D, simulate._ONE_PRODUCT_BELOW_D + 1)),
+    ])
+    def test_statistics_across_chunk_edges_match_dense_reference(self, n, d):
         assert simulate.CHUNK_BINS == 4096
         h, beta, R = 0.17, 1.0, 5.0
         assert 4095 * h / h > 4095  # ceil(ts/h) would place it at grid point 4096
@@ -619,7 +655,7 @@ class TestBinAndClip:
         rng = np.random.default_rng(n)
         t_end = (n + 0.5) * h
         background = [rng.uniform(-5.0, t_end, size=rng.poisson(0.5 * (t_end + 5.0)))
-                      for _ in range(3)]
+                      for _ in range(d)]
         # Node 0: bursts that clip the state just before each chunk edge, where a
         # clipped carry would shrink the next chunk's states.
         burst = [(s - 1) * h - 0.001 * i for s in edges for i in range(1, 9)]
@@ -627,9 +663,9 @@ class TestBinAndClip:
         on_grid = [r * h for s in [*edges, n] for r in (s - 1, s, s + 1)] + [0.0, h]
         # Node 2: burn-in events, one exactly at -h and one at 0.
         burn_in = [-4.0, -1.0, -h, 0.0]
-        events = [np.sort(np.concatenate([b, extra])) for b, extra in
-                  zip(background, (burst, on_grid, burn_in))]
-        log = manual_log(3, [ts[(ts >= -5.0) & (ts <= t_end)] for ts in events],
+        extras = (burst, on_grid, burn_in) + ([],) * (d - 3)
+        events = [np.sort(np.concatenate([b, extra])) for b, extra in zip(background, extras)]
+        log = manual_log(d, [ts[(ts >= -5.0) & (ts <= t_end)] for ts in events],
                          t_start=-5.0, t_end=t_end)
         s = bin_and_clip(log, beta, h, R)
         Z, Y = _dense_grid(log, beta, h, R)
@@ -926,6 +962,18 @@ def test_event_csv_rejects_bad_side_car(tmp_path, field, value):
 def test_simulators_reject_non_finite_horizon(simulate_fn, T, burn_in):
     with pytest.raises(ValueError, match="finite"):
         simulate_fn(poisson_params(), T=T, burn_in=burn_in, seed=0)
+
+
+@pytest.mark.parametrize("t_end", [1e308, 1e12])
+def test_bin_and_clip_refuses_a_grid_above_the_cap_before_allocating(t_end):
+    # At 1e12 the chunk bounds alone would take 20 GiB; at 1e308 T/h is infinite.
+    log = manual_log(3, [[0.1], [], [2.0]], t_end=t_end)
+
+    def run():
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            bin_and_clip(log, beta=1.0, h=0.04, R=5.0)
+
+    assert _read_peak(run) < 100_000
 
 
 @pytest.mark.parametrize("beta, h, R", [
