@@ -73,7 +73,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    log = read_events_csv(args.events, args.meta or _meta_path(args.events))
+    log = read_events_csv(args.events, _meta_path(args.events))
     if args.auto:
         if args.alpha is None or args.w_minus is None or args.k is None:
             raise SpecError("--auto requires --alpha, --w-minus and --k")
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover the network from an event CSV")
     p.add_argument("--events", required=True)
-    p.add_argument("--meta", default=None)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--R", type=float, default=None)

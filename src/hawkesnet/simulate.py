@@ -45,6 +45,9 @@ CHUNK_BINS = 4096
 # grid statistics. Per 4096-row chunk on one BLAS thread of a shared 2-vCPU
 # host, that product took 6% to 60% less time than Yᵀ[1 | Z] and
 # [1 | Z]ᵀ[1 | Z] apart at d = 5 to 40, and 3% to 11% more at d = 80 to 320.
+# Neither layout serves every d: at every d, a float [1 | Z | Y] chunk raised
+# perfbench's cli-recover-d320 peak RSS from 104.5 to 118.8 MB, and two products
+# raised tstar-small's (d = 5 to 20) time per operation from 0.973 to 1.025 s.
 _ONE_PRODUCT_BELOW_D = 64
 # Event-count safety cap of both simulators; read at call time.
 MAX_EVENTS = 10**8
@@ -56,7 +59,7 @@ MAX_GRID_CELLS = 2**36
 # that one cumulative sum makes their states; exp(600) leaves every weight
 # and sum finite.
 _SCALE_LIMIT = 600.0
-# Thinning folds its decay factor g into the stored excess once g falls below
+# Thinning folds its decay factor g into its Fenwick tree once g falls below
 # this, long before theta_ij / g could overflow.
 _RESCALE_BELOW = 1e-150
 # Pre-window extension for the cluster construction: roots older than this
@@ -117,6 +120,8 @@ class BinnedSample:
     """
 
     def __init__(self, n: int, h: float, R: float, Z: np.ndarray, Y: np.ndarray):
+        if Z.ndim != 2 or Z.shape[0] != n or Y.shape != Z.shape:
+            raise ValueError(f"Z and Y must both be n×d with n={n}, got {Z.shape} and {Y.shape}")
         Z.setflags(write=False)
         Y.setflags(write=False)
         self.n, self.h, self.R, self.d = n, h, R, Z.shape[1]
@@ -218,12 +223,21 @@ def default_burn_in(params: HawkesParams) -> float:
 
 
 def _window(params: HawkesParams, T, burn_in) -> tuple[float, float]:
-    """The kept window [-burn_in, T] of a simulation; burn_in None is the default."""
+    """The kept window [-burn_in, T] of a simulation; burn_in None is the default.
+
+    Refused before any draw if its background events alone, Poisson with mean
+    sum(mu)·(T + burn_in), average above 2·MAX_EVENTS: the cap would end the run.
+    """
     if burn_in is None:
         burn_in = default_burn_in(params)
     if number("burn_in", burn_in, finite=True) < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
-    return -float(burn_in), float(number("T", T, positive=True))
+    t_start, T = -float(burn_in), float(number("T", T, positive=True))
+    background = float(np.sum(params.mu)) * (T - t_start)
+    if background > 2 * MAX_EVENTS:
+        raise SimulationCapError(f"{background:.6g} background events expected, above "
+                                 f"2·MAX_EVENTS: the run would have exceeded {MAX_EVENTS} events")
+    return t_start, T
 
 
 def simulate_thinning(
@@ -231,7 +245,6 @@ def simulate_thinning(
     T: float,
     burn_in: float | None = None,
     seed: int = 0,
-    check_bound: bool = False,
 ) -> EventLog:
     """Exact simulation by thinning against the aggregated intensity bound.
 
@@ -241,17 +254,13 @@ def simulate_thinning(
     is valid. Every node shares beta, so S decays as one scalar and a
     proposal costs O(1).
 
-    The per-node excess v = theta @ X is kept as g * s with one scalar g,
-    which each proposal decays. A Fenwick (1994) tree over s gives the
-    prefix sums of v. An accepted event picks its node, the first i with
-    sum_{l <= i} (mu_l + v_l) >= u * (mu_total + S), by one descent of the
-    tree, then adds theta_ij / g to s_i and to the tree for each child i
-    of its node: O(k log d) for k children, where a dense v costs O(d).
-    When g falls below 1e-150, it is folded into s and the tree.
-
-    With ``check_bound`` every proposal also recomputes the total
-    intensity densely, from mu + g * s, and raises AssertionError if it
-    exceeds the bound or departs from mu_total + S.
+    The per-node excess v = theta @ X is not stored itself: a Fenwick
+    (1994) tree holds the prefix sums of v / g, with one scalar g that
+    each proposal decays. An accepted event picks its node, the first i
+    with sum_{l <= i} (mu_l + v_l) >= u * (mu_total + S), by one descent
+    of the tree, then adds theta_ij / g to the tree cells holding each
+    child i of its node: O(k log d) for k children, where a dense v costs
+    O(d). When g falls below 1e-150, it is folded into the tree.
     """
     t_start, T = _window(params, T, burn_in)
     rng = np.random.default_rng(seed)
@@ -259,7 +268,7 @@ def simulate_thinning(
     beta, d, mu = params.beta, params.d, params.mu
     col_sums = params.theta.column_sums().tolist()
     mu_total = float(np.sum(mu))
-    # Tree cell p sums s over nodes p - (p & -p) .. p - 1. The descent from 0
+    # Tree cell p sums v / g over nodes p - (p & -p) .. p - 1. The descent from 0
     # steps by the powers of two below `size`, so it reads cells 1 .. size - 1.
     # It enters a cell only if mu's prefix there is below the draw: inf from
     # cell d on, so it stops at node d - 1 at the latest (the clamp of a draw
@@ -273,15 +282,14 @@ def simulate_thinning(
         while p < d:
             cells[i].append(p)
             p += p & -p
-    # children[j]: (i, theta_ij, cells[i]) for each edge j -> i
+    # children[j]: (theta_ij, cells[i]) for each edge j -> i
     children: list[list[tuple]] = [[] for _ in range(d)]
     for i, row in enumerate(params.theta.rows):
         for j, theta_ij in row:
-            children[j].append((i, theta_ij, cells[i]))
+            children[j].append((theta_ij, cells[i]))
 
     t = t_start
-    g = 1.0  # X's decay since s was last rescaled: theta @ X = g * s
-    s = [0.0] * d
+    g = 1.0  # X's decay since the tree was last rescaled
     tree = [0.0] * size
     S = 0.0  # sum(theta @ X) now
     times: list[float] = []
@@ -296,16 +304,8 @@ def simulate_thinning(
         S *= f
         g *= f
         total = mu_total + S
-        if check_bound:
-            dense = float(np.sum(mu + g * np.array(s)))
-            if dense > bound * (1.0 + 1e-9) or abs(dense - total) > 1e-9 * bound:
-                raise AssertionError(
-                    f"thinning bound violated at t={t}: dense intensity {dense}, "
-                    f"bound {bound}, scalar intensity {total}"
-                )
         if random() * bound <= total:
             if g < _RESCALE_BELOW:
-                s = [x * g for x in s]
                 tree = [x * g for x in tree]
                 g = 1.0
             target = random() * total
@@ -315,9 +315,8 @@ def simulate_thinning(
                 c = acc + tree[p]
                 if mu_prefix[p] + g * c < target:
                     node, acc = p, c
-            for i, theta_ij, held in children[node]:
+            for theta_ij, held in children[node]:
                 x = theta_ij / g
-                s[i] += x
                 for p in held:
                     tree[p] += x
             S += col_sums[node]
@@ -328,7 +327,9 @@ def simulate_thinning(
                     f"thinning exceeded {MAX_EVENTS} events (gamma={params.gamma})"
                 )
 
-    return _log_from_flat(params.d, times, nodes, t_start, T, seed, "thinning")
+    events = _group_by_node(np.array(times), np.array(nodes, np.min_scalar_type(d - 1)), d)
+    return EventLog(d=d, events=tuple(events), t_start=t_start, t_end=T, seed=seed,
+                    method="thinning")
 
 
 def simulate_cluster(
@@ -432,18 +433,6 @@ def _group_by_node(times: np.ndarray, nodes: np.ndarray, d: int) -> list[np.ndar
     bounds = [0, *np.cumsum(np.bincount(nodes, minlength=d)).tolist()]
     ordered = times[np.argsort(nodes, kind="stable")]
     return [ordered[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _log_from_flat(d, times, nodes, t_start, t_end, seed, method) -> EventLog:
-    """Group time-ordered (time, node) pairs by node in one stable sort."""
-    per_node = _group_by_node(
-        np.asarray(times, dtype=np.float64),
-        np.asarray(nodes, dtype=np.min_scalar_type(d - 1)),
-        d,
-    )
-    return EventLog(
-        d=d, events=tuple(per_node), t_start=t_start, t_end=t_end, seed=seed, method=method
-    )
 
 
 def state_at(log: EventLog, beta: float, node: int, t: float) -> float:

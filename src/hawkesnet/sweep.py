@@ -91,6 +91,10 @@ class SweepSpec:
                 number(name, getattr(self, name), integer=True)
             for d in self.d_values:
                 require_dense_d(number("d_values", d, integer=True), "d_values: ")
+                if d < self.k:
+                    raise ValueError(f"d_values: d={d} is below k={self.k}")
+            if len(set(self.d_values)) < len(self.d_values):
+                raise ValueError(f"d_values must not repeat a d, got {list(self.d_values)}")
             for name in ("alpha", "w_minus", "w_plus", "mu_minus", "mu_plus", "beta"):
                 number(name, getattr(self, name), positive=True)
             if len(self.T_bracket) != 2:
@@ -326,6 +330,8 @@ def fit_log_scaling(points: Sequence[tuple[int, float]]) -> LogFit:
     """OLS of T* on ln d; returns slope, intercept, R^2."""
     if len(points) < 3:
         raise ValueError("need at least 3 (d, T*) points")
+    if len({d for d, _ in points}) < 2:
+        raise ValueError("need at least 2 distinct d")
     x = np.log([d for d, _ in points])
     y = np.array([t for _, t in points])
     slope, intercept = np.polyfit(x, y, 1)

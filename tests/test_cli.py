@@ -349,6 +349,10 @@ def _spec_doc(**overrides):
     pytest.param(_spec_doc(d_values=[4.5]), "d_values", id="d-float"),
     pytest.param(_spec_doc(d_values=[4, 10**6]), "d_values: d=1000000 is above MAX_DENSE_D",
                  id="d-above-cap"),
+    pytest.param(_spec_doc(d_values=[80, 1], k=2, T_values=[3000.0], trials=4),
+                 "d_values: d=1 is below k=2", id="d-below-k"),
+    pytest.param(_spec_doc(d_values=[5, 5, 5]), "d_values must not repeat a d",
+                 id="d-repeated"),
     pytest.param(_spec_doc(k=1.5), "k ", id="k-float"),
     pytest.param(_spec_doc(jobs=1.5), "jobs", id="jobs-float"),
     pytest.param(_spec_doc(estimator={"h": 0.09, "R": 4.0, "m": 2.5, "tau": 0.01}), "m ",
@@ -611,6 +615,22 @@ def test_simulate_rejects_non_finite_horizon(tmp_path, model_file, capsys, metho
     assert main(args) == EXIT_SPEC_ERROR
     assert time.perf_counter() - t0 < 1.0
     assert "finite" in _one_line_error(capsys)
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["thinning", "cluster"])
+def test_simulate_refuses_a_window_above_twice_the_cap_with_exit_3(tmp_path, model_file,
+                                                                    capsys, monkeypatch, method):
+    # A lower cap keeps a run that is not refused small.
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 10**5)
+    args = ["simulate", "--model", model_file, "--T", "20", "--seed", "0",
+            "--method", method, "--out", str(tmp_path / "e.csv"), "--burn-in", "1e300"]
+    t0 = time.perf_counter()
+    assert main(args) == EXIT_SIM_CAP
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("simulation aborted: ") and err.count("\n") == 1, err
+    assert "2·MAX_EVENTS" in err
     assert not (tmp_path / "e.csv").exists()
 
 

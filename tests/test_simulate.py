@@ -87,35 +87,33 @@ class TestThinning:
         se = math.sqrt(lam * 2000.0 / (1 - 0.5) ** 3)
         assert abs(count - lam * 2000.0) < 3 * se
 
-    def test_bound_check_mode_runs(self):
+    def test_default_burn_in_matches_dense_reference(self):
         p = sample_random_instance(d=5, k=2, alpha=0.2, w_minus=0.5, w_plus=1.0,
                                    mu_minus=0.5, mu_plus=1.5, beta=1.0, seed=2)
-        log = simulate_thinning(p, T=50.0, seed=1, check_bound=True)
-        assert log.total_events() > 0
+        log = simulate_thinning(p, T=50.0, seed=1)
+        assert log.t_start == -simulate.default_burn_in(p)
+        _assert_matches_dense_reference(log, _dense_reference_thinning(p, 50.0, -log.t_start, 1))
 
     @pytest.mark.parametrize("d", [5, 40])
-    def test_bound_check_holds_on_log_d_sweep_class(self, d):
+    def test_log_d_sweep_class_matches_dense_reference(self, d):
         # The instance class of acceptance criterion 7.
         p = sample_random_instance(d=d, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=mix64(707, d))
-        checked = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3, check_bound=True)
-        plain = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3)
-        assert checked.total_events() > 0
-        # The check draws nothing, so it leaves the stream as it was.
-        for x, y in zip(checked.events, plain.events):
-            assert x.tobytes() == y.tobytes()
+        log = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3)
+        _assert_matches_dense_reference(log, _dense_reference_thinning(p, 100.0, 20.0, 3))
 
-    def test_bound_check_catches_a_wrong_scalar_excess(self, monkeypatch):
-        # Column sums that understate theta make mu_total + S lag the
-        # dense intensity, which the check recomputes on each proposal.
+    def test_dense_reference_catches_a_wrong_scalar_excess(self, monkeypatch):
+        # Column sums that understate theta make mu_total + S lag the dense
+        # intensity, which the reference recomputes on each proposal.
         p = sample_random_instance(d=5, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=mix64(707, 5))
+        ref = _dense_reference_thinning(p, 100.0, 20.0, 3)
         column_sums = SparseInteractionMatrix.column_sums
         monkeypatch.setattr(SparseInteractionMatrix, "column_sums",
                             lambda self: 0.5 * column_sums(self))
-        simulate_thinning(p, T=100.0, seed=3)  # unchecked, it runs on
-        with pytest.raises(AssertionError, match="thinning bound violated"):
-            simulate_thinning(p, T=100.0, seed=3, check_bound=True)
+        log = simulate_thinning(p, T=100.0, burn_in=20.0, seed=3)
+        with pytest.raises(AssertionError):
+            _assert_matches_dense_reference(log, ref)
 
     def test_events_sorted_within_window(self):
         p = sample_random_instance(d=4, k=1, alpha=0.3, w_minus=1.0, w_plus=1.0,
@@ -251,15 +249,6 @@ def test_thinning_rescale_of_the_stored_excess_matches_dense_reference():
         _assert_matches_dense_reference(log, _dense_reference_thinning(p, T, burn_in, seed))
 
 
-def test_thinning_bound_check_across_rescales_leaves_the_stream_as_it_was():
-    p, T, burn_in = _rescale_case()
-    checked = simulate_thinning(p, T=T, burn_in=burn_in, seed=3, check_bound=True)
-    plain = simulate_thinning(p, T=T, burn_in=burn_in, seed=3)
-    assert checked.total_events() > 0
-    for x, y in zip(checked.events, plain.events):
-        assert x.tobytes() == y.tobytes()
-
-
 class TestCluster:
     def test_deterministic(self):
         p = poisson_params()
@@ -316,6 +305,46 @@ class TestCluster:
                 simulate_cluster(params, T=1e6, seed=0)
 
         assert _read_peak(run) < 100_000  # one node's 1e6 root times alone take 8 MB
+
+
+@pytest.mark.parametrize("simulate_fn, burn_in", [
+    # At 1e17 thinning's t += w is absorbed, and t stops moving; at 1e300 the
+    # cluster construction's root count is too large for numpy's Poisson.
+    (simulate_thinning, 1e17), (simulate_cluster, 1e300),
+])
+def test_window_above_twice_the_cap_is_refused_before_any_draw(monkeypatch, simulate_fn,
+                                                                 burn_in):
+    params = poisson_params(d=2)
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 10**5)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+
+    def run():
+        with pytest.raises(simulate.SimulationCapError, match="exceeded 100000 events"):
+            simulate_fn(params, T=10.0, burn_in=burn_in, seed=0)
+
+    assert _read_peak(run) < 100_000
+
+
+@pytest.mark.parametrize("simulate_fn, name", [
+    (simulate_thinning, "thinning"), (simulate_cluster, "cluster simulation"),
+])
+def test_window_below_twice_the_cap_runs_to_the_cap(monkeypatch, simulate_fn, name):
+    # About 1800 background events in the window, 1880 roots with the
+    # cluster construction's extension: not refused, but over the cap.
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 1000)
+    with pytest.raises(simulate.SimulationCapError, match=f"^{name} exceeded 1000 events"):
+        simulate_fn(poisson_params(d=2), T=900.0, burn_in=0.0, seed=0)
+
+
+def test_cluster_root_count_passing_the_cap_raises_before_its_times(monkeypatch):
+    # A window the refusal lets run: node 0's roots are drawn, and node 1's
+    # count passes the cap before its times are drawn.
+    params, drawn = poisson_params(d=2), []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingGenerator(seed, drawn))
+    monkeypatch.setattr(simulate, "MAX_EVENTS", 1000)
+    with pytest.raises(simulate.SimulationCapError, match="exceeded 1000 events"):
+        simulate_cluster(params, T=900.0, burn_in=0.0, seed=0)
+    assert len(drawn) == 1 and drawn[0] <= 1000
 
 
 def _masked_reference_cluster(params, T, burn_in=None, seed=0):
@@ -629,6 +658,15 @@ class TestBinAndClip:
         for got, want in ((from_log.z_sum, from_arrays.z_sum), (from_log.ytz, from_arrays.ytz),
                           (from_log.ztz, from_arrays.ztz)):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n, z_shape, y_shape", [
+        (2, (50, 3), (50, 3)), (500, (50, 3), (50, 3)), (50, (50, 3), (50, 2)),
+        (50, (50,), (50,)),
+    ])
+    def test_arrays_that_are_not_both_n_by_d_are_refused(self, n, z_shape, y_shape):
+        with pytest.raises(ValueError, match="Z and Y must both be n×d"):
+            BinnedSample(n=n, h=0.1, R=1.0, Z=np.zeros(z_shape),
+                         Y=np.zeros(y_shape, dtype=np.uint8))
 
     def test_n_and_d_do_not_bin_again(self, monkeypatch):
         passes = []

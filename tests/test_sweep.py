@@ -231,6 +231,10 @@ class TestFit:
         with pytest.raises(ValueError, match="at least 3"):
             fit_log_scaling([(10, 1.0), (20, 2.0)])
 
+    def test_needs_two_distinct_d(self):
+        with pytest.raises(ValueError, match="at least 2 distinct d"):
+            fit_log_scaling([(5, 1.0), (5, 2.0), (5, 3.0)])
+
     def test_noisy_line_r2(self):
         rng = np.random.default_rng(0)
         pts = [(d, 5.0 * math.log(d) + rng.normal(0, 0.01)) for d in
