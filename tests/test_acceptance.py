@@ -225,8 +225,7 @@ def test_criterion_7_log_d_scaling():
     spec = SweepSpec(
         d_values=(10, 20, 40, 80), trials=50, k=2, alpha=0.2,
         w_minus=1.0, w_plus=1.0, mu_minus=1.0, mu_plus=1.0, beta=1.0,
-        base_seed=707, success_level=0.9, method="cluster",
-        T_bracket=(500.0, 4000.0),
+        base_seed=707, success_level=0.9, T_bracket=(500.0, 4000.0),
     )
     thresholds = [estimate_threshold_time(d, spec) for d in spec.d_values]
     fit = fit_log_scaling([(th.d, th.t_star) for th in thresholds])

@@ -355,8 +355,8 @@ def _spec_doc(**overrides):
                  id="d-repeated"),
     pytest.param(_spec_doc(k=1.5), "k ", id="k-float"),
     pytest.param(_spec_doc(jobs=1.5), "jobs", id="jobs-float"),
-    pytest.param(_spec_doc(estimator={"h": 0.09, "R": 4.0, "m": 2.5, "tau": 0.01}), "m ",
-                 id="estimator-m-float"),
+    pytest.param(_spec_doc(estimator={"h": 0.09, "R": 4.0, "m": 2, "tau": 0.01}), "'estimator'",
+                 id="estimator-removed"),
     pytest.param(_spec_doc(mu_minus=math.nan), "mu_minus", id="mu-minus-nan"),
     pytest.param(_spec_doc(w_minus=math.nan), "w_minus", id="w-minus-nan"),
     pytest.param(_spec_doc(w_plus=math.nan), "w_plus", id="w-plus-nan"),
@@ -365,6 +365,7 @@ def _spec_doc(**overrides):
     pytest.param(_spec_doc(beta=10**400), "beta is too large for a float", id="huge-beta"),
     pytest.param(_spec_doc(T_bracket=[None, None]), "T_bracket", id="bracket-null"),
     pytest.param(_spec_doc(burn_in="x"), "burn_in", id="burn-in-string"),
+    pytest.param(_spec_doc(method="cluster"), "'method'", id="method-removed"),
 ])
 def test_sweep_bad_spec_exits_2(tmp_path, capsys, doc, field):
     spec_path = tmp_path / "spec.json"

@@ -473,6 +473,19 @@ def test_time_rescaled_gaps_are_exp1(simulate_fn):
     assert ks_exp1_pvalue(rescaled_gaps(log, dataclasses.replace(params, beta=1.2))) < 1e-12
 
 
+# One node with a self-loop at gamma = 0.8, T = 20000: about 10^5 gaps, most of
+# them from a parent to its child, so the gaps show the offsets' rate, which
+# weak edges among 20 nodes hide. The seeds and the bound p > 1e-3 were fixed
+# before the test first ran.
+@pytest.mark.parametrize("simulate_fn", [simulate_thinning, simulate_cluster])
+def test_time_rescaled_gaps_of_a_strong_self_loop_are_exp1(simulate_fn):
+    params = scalar_params(0.8)
+    for seed in (1, 2):
+        gaps = rescaled_gaps(simulate_fn(params, T=20000.0, seed=seed), params)
+        assert gaps.size > 90_000
+        assert ks_exp1_pvalue(gaps) > 1e-3, seed
+
+
 class TestStateAt:
     def test_no_events(self):
         log = manual_log(1, [[]])

@@ -76,8 +76,6 @@ class TestSpec:
         with pytest.raises(SpecError):
             small_spec(T_values=(20.0, 10.0))
         with pytest.raises(SpecError):
-            small_spec(method="magic")
-        with pytest.raises(SpecError):
             small_spec(alpha=0.9, k=2)
         with pytest.raises(SpecError):
             SweepSpec.from_json('{"d_values": [4], "trials": 1}')
@@ -102,10 +100,6 @@ class TestSpec:
         ("T_bracket", [25.0], "T_bracket must be two numbers"),
         ("T_bracket", [0.0, 400.0], "T_bracket must be positive and finite"),
         ("T_bracket", [25.0, math.inf], "T_bracket must be positive and finite"),
-        ("burn_in", "x", "burn_in must be a number"),
-        ("burn_in", -1.0, "burn_in must be >= 0"),
-        ("burn_in", math.nan, "burn_in must be finite"),
-        ("burn_in", math.inf, "burn_in must be finite"),
         ("k", 0, "k must be >= 1"),
     ])
     def test_from_json_rejects_bad_number(self, field, value, message):
@@ -114,10 +108,13 @@ class TestSpec:
         with pytest.raises(SpecError, match=message):
             SweepSpec.from_json(json.dumps(doc))
 
-    def test_auto_estimator(self):
-        cfg = small_spec().estimator_config()
-        assert cfg.h == pytest.approx(0.09)
-        assert cfg.m == 2
+    def test_stock_spec_file_is_criterion_7(self):
+        text = (Path(__file__).resolve().parent.parent / "sweep_default.json").read_text()
+        assert SweepSpec.from_json(text) == SweepSpec(
+            d_values=(10, 20, 40, 80), trials=50, k=2, alpha=0.2,
+            w_minus=1.0, w_plus=1.0, mu_minus=1.0, mu_plus=1.0, beta=1.0,
+            base_seed=707, success_level=0.9, T_bracket=(500.0, 4000.0),
+        )
 
 
 class TestRunCell:
