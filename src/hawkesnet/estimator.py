@@ -89,9 +89,6 @@ class RecoveredNetwork:
     d: int
     rows: tuple[RowRecovery, ...]
 
-    def supports(self) -> tuple[frozenset[int], ...]:
-        return tuple(r.support for r in self.rows)
-
 
 @dataclass(frozen=True)
 class RecoveryMetrics:

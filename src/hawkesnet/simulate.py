@@ -551,11 +551,11 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
                 block *= weight
                 np.cumsum(block, axis=0, out=block)
                 block /= weight
-        elif decay:
+        else:
             # beta h > _SCALE_LIMIT / 2: 1/decay may overflow, so row by row.
+            # At decay == 0 each row adds nothing and stays its own pulses.
             for r in range(1, rows):
                 Z[r] += decay * Z[r - 1]
-        # decay == 0: each row is its own pulses.
         carry[:] = Z[-2]
         np.minimum(Z[1:-1], R, out=Z[1:-1])
         yield A[1:-1], Y[1:-1]

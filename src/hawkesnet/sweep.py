@@ -15,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,14 +48,14 @@ __all__ = [
     "fit_log_scaling",
     "run_sweep",
     "write_results_csv",
-    "read_results_csv",
     "write_thresholds_csv",
     "write_fit_json",
 ]
 
 # z of the two-sided 95% normal quantile, for the Wilson interval.
 WILSON_Z = 1.959963984540054
-# Doublings (halvings) of the bracket's high (low) end before giving up.
+# Values of the bracket's high (low) end tried, doubling (halving) it each
+# time, before the search gives up.
 MAX_BRACKET_EXPANSIONS = 12
 # Even grid points of the re-scan after non-monotone rates.
 RESCAN_POINTS = 9
@@ -171,7 +172,6 @@ class LogFit:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     cells: tuple[CellResult, ...]
     thresholds: tuple[ThresholdEstimate, ...] = ()
     fit: Optional[LogFit] = None
@@ -205,11 +205,6 @@ def run_trial(d: int, T: float, spec: SweepSpec, trial: int) -> bool:
     return evaluate(net, support_of(params)).exact
 
 
-def _trial_worker(args: tuple) -> bool:
-    d, T, spec, trial = args
-    return run_trial(d, T, spec, trial)
-
-
 def run_cell(d: int, T: float, spec: SweepSpec) -> CellResult:
     """Run spec.trials independent trials of the (d, T) cell.
 
@@ -217,12 +212,12 @@ def run_cell(d: int, T: float, spec: SweepSpec) -> CellResult:
     than the host has CPUs or the map has chunks of trials.
     """
     jobs = min(spec.jobs, os.cpu_count() or 1, -(-spec.trials // TRIALS_PER_TASK))
-    args = [(d, T, spec, t) for t in range(spec.trials)]
+    args = (repeat(d), repeat(T), repeat(spec), range(spec.trials))
     if jobs == 1:
-        outcomes = [run_trial(*a) for a in args]
+        outcomes = list(map(run_trial, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_trial_worker, args, chunksize=TRIALS_PER_TASK))
+            outcomes = list(pool.map(run_trial, *args, chunksize=TRIALS_PER_TASK))
     return CellResult(d=d, T=T, trials=spec.trials, successes=sum(outcomes))
 
 
@@ -237,7 +232,8 @@ def estimate_threshold_time(
     end, doubling the high end) until rate(T_lo) < level <= rate(T_hi).
     Bisection stops at 10% relative width.  If the evaluated rates are
     non-monotone beyond Wilson noise, the bracket is re-scanned on an
-    even grid instead.
+    even grid instead.  An end that cannot be brought across the level
+    raises SpecError naming the last T tried.
     """
     if rate_fn is None:
         rate_fn = lambda T: run_cell(d, T, spec)
@@ -249,21 +245,21 @@ def estimate_threshold_time(
             cells[T] = rate_fn(T)
         return cells[T].rate
 
+    # Each end moves away from the other, so the last T tried at the high
+    # end is the largest cell and the last at the low end the smallest.
     t_lo, t_hi = spec.T_bracket
     for _ in range(MAX_BRACKET_EXPANSIONS):
         if rate(t_hi) >= level:
             break
         t_hi *= 2.0
     else:
-        raise RuntimeError(
-            f"rate never reached {level} up to T={t_hi} for d={d}"
-        )
+        raise SpecError(f"rate never reached {level} up to T={max(cells)} for d={d}")
     for _ in range(MAX_BRACKET_EXPANSIONS):
         if rate(t_lo) < level:
             break
         t_lo /= 2.0
     else:
-        raise RuntimeError(f"rate already >= {level} down to T={t_lo} for d={d}")
+        raise SpecError(f"rate already >= {level} down to T={min(cells)} for d={d}")
 
     while (t_hi - t_lo) > 0.1 * 0.5 * (t_hi + t_lo):
         t_mid = 0.5 * (t_lo + t_hi)
@@ -330,13 +326,13 @@ def run_sweep(spec: SweepSpec, threshold_mode: bool = False) -> SweepResult:
         fit = None
         if len(thresholds) >= 3:
             fit = fit_log_scaling([(th.d, th.t_star) for th in thresholds])
-        return SweepResult(spec=spec, cells=cells, thresholds=thresholds, fit=fit)
+        return SweepResult(cells=cells, thresholds=thresholds, fit=fit)
     if not spec.T_values:
         raise SpecError("grid mode requires T_values")
     cells = tuple(
         run_cell(d, T, spec) for d in spec.d_values for T in spec.T_values
     )
-    return SweepResult(spec=spec, cells=cells)
+    return SweepResult(cells=cells)
 
 
 def _fmt(x: float) -> str:
@@ -352,20 +348,6 @@ def write_results_csv(cells: Sequence[CellResult], path: str) -> None:
             writer.writerow(
                 [c.d, _fmt(c.T), c.trials, c.successes, _fmt(c.rate), _fmt(lo), _fmt(hi)]
             )
-
-
-def read_results_csv(path: str) -> list[CellResult]:
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(
-                CellResult(
-                    d=int(row["d"]), T=float(row["T"]),
-                    trials=int(row["trials"]), successes=int(row["successes"]),
-                )
-            )
-    return out
 
 
 def write_thresholds_csv(thresholds: Sequence[ThresholdEstimate], path: str) -> None:

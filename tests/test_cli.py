@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from hawkesnet.model import (
     sample_random_instance,
 )
 from hawkesnet.simulate import SimulationCapError
-from hawkesnet.sweep import SweepSpec, read_results_csv
+from hawkesnet.sweep import SweepSpec
 
 
 @pytest.fixture
@@ -329,8 +330,9 @@ def test_sweep_grid_mode(tmp_path):
     spec_path.write_text(spec.to_json())
     out = str(tmp_path / "results.csv")
     assert main(["sweep", "--spec", str(spec_path), "--out", out]) == 0
-    cells = read_results_csv(out)
-    assert [(c.d, c.T) for c in cells] == [(4, 20.0), (4, 40.0)]
+    with open(out, newline="") as f:
+        cells = [(int(row["d"]), float(row["T"])) for row in csv.DictReader(f)]
+    assert cells == [(4, 20.0), (4, 40.0)]
 
 
 def _spec_doc(**overrides):
@@ -438,6 +440,22 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
     rc = main(["sweep", "--spec", str(spec_path), "--jobs", jobs, "--out", str(out)])
     assert rc == EXIT_SPEC_ERROR
     assert "jobs must be >= 1" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_sweep_unbracketable_level_exits_2(tmp_path, capsys):
+    # No trial of this spec recovers its network at any horizon the search
+    # tries: the high end runs 20, 40, ..., 40960 and gives up there.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "d_values": [5], "trials": 2, "k": 1, "alpha": 0.2, "w_minus": 0.05,
+        "w_plus": 0.05, "mu_minus": 1.0, "mu_plus": 1.0, "beta": 1.0,
+        "base_seed": 1, "T_bracket": [10.0, 20.0],
+    }))
+    out = tmp_path / "r.csv"
+    rc = main(["sweep", "--spec", str(spec_path), "--threshold-mode", "--out", str(out)])
+    assert rc == EXIT_SPEC_ERROR
+    assert _one_line_error(capsys) == "error: rate never reached 0.9 up to T=40960.0 for d=5\n"
     assert not out.exists()
 
 

@@ -13,7 +13,6 @@ from hawkesnet.sweep import (
     SweepSpec,
     estimate_threshold_time,
     fit_log_scaling,
-    read_results_csv,
     run_cell,
     run_sweep,
     wilson_interval,
@@ -151,9 +150,9 @@ class TestRunCell:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args, chunksize):
+            def map(self, fn, *iterables, chunksize):
                 assert chunksize == sweep.TRIALS_PER_TASK
-                return [False for _ in args]
+                return list(map(fn, *iterables))
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
@@ -194,9 +193,12 @@ class TestThresholdEstimation:
         assert est.t_lo < 5.0 <= est.t_hi
 
     def test_unreachable_level_raises(self):
-        spec = small_spec()
-        with pytest.raises(RuntimeError, match="never reached"):
+        # The message names the last T tried: 400 doubled 11 times.
+        spec = small_spec(T_bracket=(25.0, 400.0))
+        with pytest.raises(SpecError, match=r"never reached 0\.9 up to T=819200\.0 for d=4$"):
             estimate_threshold_time(4, spec, rate_fn=self.fake_rate_fn(1e9))
+        with pytest.raises(SpecError, match=r"already >= 0\.9 down to T=0\.01220703125 for d=4$"):
+            estimate_threshold_time(4, spec, rate_fn=self.fake_rate_fn(1e-9))
 
     def test_nonmonotone_rates_trigger_rescan(self):
         # confidently above the level at small T, confidently below later;
@@ -252,13 +254,16 @@ class TestRunSweep:
             run_sweep(small_spec(T_values=()))
 
 
-def test_results_csv_round_trip(tmp_path):
+def test_results_csv_bytes(tmp_path):
+    # T and the rates are written at .17g, so each reads back to the same
+    # float; the Wilson bounds of 41/50 are 0.692 and 0.902, and 50/50 has
+    # upper bound 1. Rows end in CRLF, the csv module's default.
     cells = [CellResult(d=10, T=37.5, trials=50, successes=41),
              CellResult(d=20, T=75.0, trials=50, successes=50)]
-    p1 = str(tmp_path / "a.csv")
-    write_results_csv(cells, p1)
-    back = read_results_csv(p1)
-    assert back == cells
-    p2 = str(tmp_path / "b.csv")
-    write_results_csv(back, p2)
-    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    path = tmp_path / "a.csv"
+    write_results_csv(cells, str(path))
+    assert path.read_bytes() == (
+        b"d,T,trials,successes,rate,ci_lo,ci_hi\r\n"
+        b"10,37.5,50,41,0.81999999999999995,0.69203946325699217,0.90229807329765821\r\n"
+        b"20,75,50,50,1,0.92865240086664136,1\r\n"
+    )
