@@ -65,6 +65,9 @@ _RESCALE_BELOW = 1e-150
 # Pre-window extension for the cluster construction: roots older than this
 # contribute at most e^{-40} of an in-window cluster.
 TAU_EXTEND_OVER_BETA = 40.0
+# Rows of an event CSV formatted per `%` call: the writer holds the text and
+# Python objects of one block, not of the whole file.
+CSV_BLOCK_ROWS = 4096
 # One `node,time` row of an event CSV.
 _EVENT_ROW = np.dtype([("node", np.int64), ("time", np.float64)])
 
@@ -78,7 +81,8 @@ class EventLog:
     """Per-node ascending event times over [t_start, t_end].
 
     The observation window is [0, t_end]; times in [t_start, 0] are
-    burn-in and only feed the state reconstruction.
+    burn-in and only feed the state reconstruction. Times that do not
+    ascend within [t_start, t_end] are a ValueError.
     """
 
     d: int
@@ -93,7 +97,12 @@ class EventLog:
             raise ValueError("events list length does not match d")
         if not (self.t_start <= 0.0 < self.t_end):
             raise ValueError("need t_start <= 0 < t_end")
-        for ts in self.events:
+        for node, ts in enumerate(self.events):
+            # A NaN fails an end check or the comparison of neighbours.
+            if ts.size and not (self.t_start <= ts[0] and ts[-1] <= self.t_end
+                                and np.all(ts[1:] >= ts[:-1])):
+                raise ValueError(f"node {node}'s event times do not ascend within "
+                                 f"[t_start, t_end] = [{self.t_start}, {self.t_end}]")
             ts.setflags(write=False)
 
     def total_events(self) -> int:
@@ -570,12 +579,15 @@ def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:
     times = np.concatenate(log.events)
     nodes = np.repeat(np.arange(log.d), [ts.size for ts in log.events])
     order = np.lexsort((nodes, times))
-    # Every row in one `%` call: node, time, node, time, ...
-    fields = [None] * (2 * order.size)
-    fields[::2] = nodes[order].tolist()
-    fields[1::2] = times[order].tolist()
     with open(path, "w", newline="") as f:
-        f.write("node,time\r\n" + "%d,%.17g\r\n" * order.size % tuple(fields))
+        f.write("node,time\r\n")
+        for start in range(0, order.size, CSV_BLOCK_ROWS):
+            block = order[start:start + CSV_BLOCK_ROWS]
+            # A block's rows in one `%` call: node, time, node, time, ...
+            fields = [None] * (2 * block.size)
+            fields[::2] = nodes[block].tolist()
+            fields[1::2] = times[block].tolist()
+            f.write("%d,%.17g\r\n" * block.size % tuple(fields))
     meta = {
         "d": log.d,
         "t_start": log.t_start,

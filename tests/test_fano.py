@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hawkesnet import fano
 from hawkesnet.fano import (
     FanoInputs,
     critical_time,
@@ -10,6 +11,10 @@ from hawkesnet.fano import (
     kl_budget,
     log_n_choose_k,
 )
+from hawkesnet.model import build_subclass_instance
+from hawkesnet.simulate import simulate_cluster
+
+from compensator import log_likelihoods
 
 
 def inputs(**overrides):
@@ -144,3 +149,70 @@ class TestValidation:
     def test_negative_time(self):
         with pytest.raises(ValueError, match="nonnegative"):
             inputs(T=-1.0)
+
+
+def test_log_likelihood_matches_quadrature():
+    # Node 0 under parents {1, 2}: the closed-form integral against a
+    # midpoint sum of the intensity with X summed over every event.
+    params = build_subclass_instance(d=3, k=2, i_star=0, S=[1, 2], theta_minus=0.3,
+                                     mu_bar=1.0, mu_bar_star=0.7, beta=2.0)
+    log = simulate_cluster(params, 12.0, seed=3)
+    grid = np.array([0.0, 5.0, 12.0])
+    got = log_likelihoods(log, 0, [1, 2], 0.7, 0.3, 2.0, grid)
+
+    def intensity(t):
+        lam = np.full(t.size, 0.7)
+        for j in (1, 2):
+            lag = t[:, None] - log.events[j][None, :]
+            lam += 0.3 * np.where(lag > 0, np.exp(-2.0 * np.maximum(lag, 0.0)), 0.0).sum(axis=1)
+        return lam
+
+    m = 240_000  # cells of 5e-5 whose edges include 5
+    step = 12.0 / m
+    mid = (np.arange(m) + 0.5) * step
+    lam_mid = intensity(mid)
+    t0 = log.events[0][log.events[0] > 0.0]
+    for a, b, want_ll in zip(grid[:-1], grid[1:], got):
+        inside = (mid > a) & (mid <= b)
+        events = t0[(t0 > a) & (t0 <= b)]
+        want = np.log(intensity(events)).sum() - lam_mid[inside].sum() * step
+        # Each parent event in (a, b] moves the sum by at most theta * step.
+        jumps = sum(np.count_nonzero((ts > a) & (ts <= b)) for ts in log.events[1:])
+        assert 0 < jumps and abs(want_ll - want) <= 0.3 * step * jumps
+
+
+class TestKLRate:
+    """The simulated path KL rate between two parent sets against `_kl_rate`.
+
+    Node i* = 0 of criterion 8's base class (k=1, theta_-=0.5, mu=mu*=beta=1)
+    has parent set S = {1} or S' = {2}. Under S, node 0's log-likelihood ratio
+    grows at the path KL rate E_S[lambda log(lambda/lambda') - lambda + lambda'],
+    which the bound's rate must not undercut. It reads 0.079 against 0.375.
+    """
+
+    T = 20000.0
+    BATCHES = 20
+    INPUTS = inputs(d=3)
+
+    @pytest.fixture(scope="class")
+    def rate(self):
+        params = build_subclass_instance(d=3, k=1, i_star=0, S=[1], theta_minus=0.5,
+                                         mu_bar=1.0, mu_bar_star=1.0, beta=1.0)
+        log = simulate_cluster(params, self.T, seed=8)
+        grid = np.linspace(0.0, self.T, self.BATCHES + 1)
+        ratio = (log_likelihoods(log, 0, [1], 1.0, 0.5, 1.0, grid)
+                 - log_likelihoods(log, 0, [2], 1.0, 0.5, 1.0, grid))
+        batch_rates = ratio / np.diff(grid)
+        return batch_rates.mean(), batch_rates.std(ddof=1) / math.sqrt(self.BATCHES)
+
+    @staticmethod
+    def within(rate, bound):
+        mean, stderr = rate
+        return mean <= bound + 3.0 * stderr
+
+    def test_bound_covers_the_simulated_rate(self, rate):
+        assert fano._kl_rate(self.INPUTS) == pytest.approx(0.375)
+        assert self.within(rate, fano._kl_rate(self.INPUTS))
+
+    def test_check_fails_at_a_tenth_of_the_rate(self, rate):
+        assert not self.within(rate, fano._kl_rate(self.INPUTS) / 10)

@@ -62,6 +62,26 @@ def manual_log(d, events, t_start=-1.0, t_end=10.0):
                     method="thinning")
 
 
+def test_event_log_rejects_descending_times():
+    # Accepted once, this log then failed inside bin_and_clip(log, 1.0, 0.01,
+    # 5.0) with an IndexError; a log of one chunk binned to wrong states.
+    with pytest.raises(ValueError, match="node 0's event times do not ascend"):
+        EventLog(d=1, events=(np.array([90.0, 5.0]),), t_start=0.0, t_end=100.0,
+                 seed=0, method="cluster")
+
+
+@pytest.mark.parametrize("times", [[5.0, np.nan, 7.0], [np.nan], [-0.5, 1.0], [1.0, 100.5]])
+def test_event_log_rejects_nan_and_times_outside_the_window(times):
+    with pytest.raises(ValueError, match="node 1's"):
+        EventLog(d=2, events=(np.array([1.0]), np.array(times)), t_start=0.0,
+                 t_end=100.0, seed=0, method="cluster")
+
+
+def test_event_log_takes_ties_and_both_ends():
+    log = manual_log(2, [[-1.0, 0.0, 0.0, 10.0], []])
+    assert log.total_events() == 4
+
+
 class TestThinning:
     def test_deterministic(self):
         p = poisson_params()
@@ -911,6 +931,19 @@ def _read_peak(read):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_event_csv_write_peak_memory_is_the_columns_and_a_block(tmp_path):
+    # The log's sorted columns take 24 bytes a row; the text and objects of a
+    # block about 115, which over the whole file took the peak to 115 a row.
+    params = sample_random_instance(d=40, k=2, alpha=0.2, w_minus=1.0, w_plus=1.0,
+                                    mu_minus=1.0, mu_plus=1.0, beta=1.0, seed=4)
+    log = simulate_cluster(params, T=1000.0, seed=5)
+    path, meta = str(tmp_path / "e.csv"), str(tmp_path / "e.meta.json")
+    peak = _read_peak(lambda: write_events_csv(log, path, meta))
+    n = log.total_events()
+    assert n > 16 * simulate.CSV_BLOCK_ROWS
+    assert peak < 24 * n + 2 * 115 * simulate.CSV_BLOCK_ROWS
 
 
 def test_event_csv_read_peak_memory_is_a_few_file_sizes(tmp_path):

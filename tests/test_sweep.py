@@ -1,5 +1,9 @@
+import concurrent.futures
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,12 +158,22 @@ class TestRunCell:
                 assert chunksize == sweep.TRIALS_PER_TASK
                 return list(map(fn, *iterables))
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+        # run_cell imports the pool class when it pools, so patch its home.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(sweep, "run_trial", lambda *args: False)
         cell = run_cell(4, 30.0, small_spec(trials=trials, jobs=jobs))
         assert (cell.trials, cell.successes) == (trials, 0)
         assert started == ([] if workers is None else [workers])
+
+    def test_package_loads_no_pool(self):
+        # A fresh process shows that only a pooled run_cell loads the
+        # process-pool stack: the CLI and serial sweeps never pay for it.
+        code = ("import sys, hawkesnet, hawkesnet.cli\n"
+                "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+                "assert not loaded, loaded\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(sweep.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_seed_changes_outcome_stream(self):
         # same structure, different base seed: allowed to differ
