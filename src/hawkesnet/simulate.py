@@ -55,9 +55,16 @@ MAX_EVENTS = 10**8
 # bytes a node and chunk of chunk bounds, so at most 256 MB here; a log the
 # simulators can draw within MAX_EVENTS stays below it on criterion 7's class.
 MAX_GRID_CELLS = 2**36
-# Binning scales a block of rows by 1/decay^r, r up to this / (beta h), so
-# that one cumulative sum makes their states; exp(600) leaves every weight
-# and sum finite.
+# Binning runs the state recurrence in blocks of this many grid rows (Blelloch
+# 1990): a b x b product makes a block's states from its pulses and its
+# incoming state, and only the block ends are chained one after another.
+_BLOCK = 16
+# Most bytes of states one such product makes before they are clipped back
+# into the chunk: 256 KB, whatever d (a whole chunk's are 32 KB a node).
+_PRODUCT_BYTES = 256 * 1024
+# The block ends are chained by a cumulative sum scaled by 1/decay^r, over at
+# most this / (beta h) rows at a time; exp(600) leaves every weight and sum
+# finite.
 _SCALE_LIMIT = 600.0
 # Thinning folds its decay factor g into its Fenwick tree once g falls below
 # this, long before theta_ij / g could overflow.
@@ -456,7 +463,8 @@ def state_at(log: EventLog, beta: float, node: int, t: float) -> float:
     past = ts[ts <= t]
     if past.size == 0:
         return 0.0
-    return float(np.sum(np.exp(-beta * (t - past))))
+    with np.errstate(over="ignore"):  # a huge beta * gap has the exact term exp(-inf) = 0
+        return float(np.sum(np.exp(-beta * (t - past))))
 
 
 def bin_and_clip(log: EventLog, beta: float, h: float, R: float) -> BinnedSample:
@@ -501,35 +509,48 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
     edges[0] = -math.inf
     cuts = np.array([ts.searchsorted(edges, side="right") for ts in log.events],
                     dtype=np.int64).reshape(d, 2, len(starts))
-    # X(rh) = decay X((r-1)h) + pulses[r] for every column at once. Scaled by
-    # grow[r] = 1/decay^r, that recurrence is a cumulative sum: X[r] grow[r] =
-    # X[0] + pulses[1] grow[1] + ... + pulses[r] grow[r]. grow is the reciprocal
-    # of the cumulative product of decay, the factor the recurrence multiplies
-    # by, so the two round alike; a block of `step` new rows keeps it finite.
+    # X(rh) = decay X((r-1)h) + pulses[r] for every column at once, in blocks
+    # of b rows. Lᵀ[t, u] = decay^(u - t) for t <= u turns a block's pulses into
+    # its states, given no incoming state; its last column gives the block's
+    # end. The ends are then chained: scaled by grow[m] = 1/decay^(mb), the
+    # chain is a cumulative sum, over `links` block ends at a time so that
+    # grow stays finite. The powers of decay are its cumulative product, the
+    # factor the recurrence multiplies by, so the two round alike.
     decay = math.exp(-beta * h)
-    step = min(n, B) + 1  # the new rows of a chunk
-    if beta * h * step > _SCALE_LIMIT:
-        step = int(_SCALE_LIMIT // (beta * h))
-    if step > 1:
-        grow = np.full(step + 1, decay)
-        grow[0] = 1.0
-        np.divide(1.0, np.cumprod(grow, out=grow), out=grow)
-    # A chunk holds rows s - 1 .. e of the grid. Row s - 1 of Z holds the
-    # previous chunk's last state, unclipped, so the sum carries it on; row
-    # e takes pulses that the next chunk takes again. Row r of Y is the bin
-    # that starts at grid point r.
+    b = _BLOCK
+    blocks = -(-(min(n, B) + 2) // b)  # in a column of the largest chunk
+    if beta * h * b * (blocks - 1) <= _SCALE_LIMIT:
+        links = blocks - 1
+    else:
+        links = int(_SCALE_LIMIT // (beta * h * b))
+    decays = np.full(max(links, 1) * b + 1, decay)
+    decays[0] = 1.0
+    np.cumprod(decays, out=decays)
+    lag = np.arange(b) - np.arange(b)[:, None]
+    to_states = np.triu(decays[np.abs(lag)])  # Lᵀ
+    to_end = to_states[:, -1].copy()
+    if links > 1:
+        grow = 1.0 / decays[::b]
+    group = _PRODUCT_BYTES // (8 * b)  # block rows per product
+    states = np.empty((group, b))
+    # A chunk holds rows s - 1 .. e of the grid, b-padded. Row s - 1 of Z holds
+    # the previous chunk's last state, unclipped, as the pulse that starts the
+    # recurrence; row e takes pulses that the next chunk takes again. Row r of
+    # Y is the bin that starts at grid point r.
     one_product = d < _ONE_PRODUCT_BELOW_D
     width = 2 * d + 1 if one_product else d + 1  # the columns of A
-    a_buf = np.empty((min(n, B) + 2) * width)
+    a_buf = np.empty(blocks * b * width)
     if not one_product:
-        y_buf = np.empty((min(n, B) + 2) * d, dtype=np.uint8)
+        y_buf = np.empty(blocks * b * d, dtype=np.uint8)
     carry = np.zeros(d)
     counts = (cuts[:, 1] - cuts[:, 0]).T
     for s, e, lo, hi, count in zip(starts.tolist(), ends.tolist(),
                                    cuts[:, 0].T.tolist(), cuts[:, 1].T.tolist(), counts):
         rows = e - s + 2
+        nblocks = -(-rows // b)  # in a column of this chunk
+        stride = nblocks * b
         # (An empty first part, for d=0.)
-        ts = np.concatenate([np.empty(0), *(t[a:b] for t, a, b in zip(log.events, lo, hi))])
+        ts = np.concatenate([np.empty(0), *(t[i:j] for t, i, j in zip(log.events, lo, hi))])
         # first grid index at/after each event; event ts lies in bin grid-1
         grid = np.ceil(ts / h).astype(np.int64)
         # ts/h and r*h round apart within an ulp of a grid point.
@@ -537,37 +558,48 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
         grid += grid * h < ts
         if s == 0:
             np.maximum(grid, 0, out=grid)  # burn-in events pulse at r=0
-        at = np.repeat(np.arange(0, rows * d, rows), count) + (grid - s)  # Y[grid - 1]
-        a_flat = a_buf[:rows * width]
-        a_flat[:rows] = 1.0
-        a_flat[rows:] = 0.0
+        at = np.repeat(np.arange(0, stride * d, stride), count) + (grid - s)  # Y[grid - 1]
+        a_flat = a_buf[:stride * width]
+        a_flat[:stride] = 1.0
+        a_flat[stride:] = 0.0
         if one_product:
-            a_flat[at + (d + 1) * rows] = 1.0
+            a_flat[at + (d + 1) * stride] = 1.0
         else:
-            y_flat = y_buf[:rows * d]
+            y_flat = y_buf[:stride * d]
             y_flat.fill(0)
             y_flat[at] = 1
-        np.add.at(a_flat, at + (rows + 1), np.exp(-beta * (grid * h - ts)))  # Z[grid]
-        A = a_flat.reshape(width, rows).T
-        Y = A[:, d + 1:] if one_product else y_flat.reshape(d, rows).T
-        Z = A[:, 1:d + 1]
-        Z[0] = carry
-        if step > 1:
-            # Row a of a block is final: the last of the previous block, or carry.
-            for a in range(0, rows - 1, step):
-                block = Z[a:a + step + 1]
-                weight = grow[:len(block), None]
-                block *= weight
-                np.cumsum(block, axis=0, out=block)
-                block /= weight
+        with np.errstate(over="ignore"):  # a huge beta * gap has the exact pulse exp(-inf) = 0
+            np.add.at(a_flat, at + (stride + 1), np.exp(-beta * (grid * h - ts)))  # Z[grid]
+        A = a_flat.reshape(width, stride).T
+        Y = A[:, d + 1:] if one_product else y_flat.reshape(d, stride).T
+        A[0, 1:d + 1] = carry
+        pulses = a_flat[stride:(d + 1) * stride].reshape(d * nblocks, b)
+        block_end = (pulses @ to_end).reshape(d, nblocks)
+        if links > 1:
+            for a in range(0, nblocks - 1, links):
+                # Column a is final: the last of the previous part, or block 0's.
+                part = block_end[:, a:a + links + 1]
+                weight = grow[:part.shape[1]]
+                part *= weight
+                np.cumsum(part, axis=1, out=part)
+                part /= weight
         else:
-            # beta h > _SCALE_LIMIT / 2: 1/decay may overflow, so row by row.
-            # At decay == 0 each row adds nothing and stays its own pulses.
-            for r in range(1, rows):
-                Z[r] += decay * Z[r - 1]
-        carry[:] = Z[-2]
-        np.minimum(Z[1:-1], R, out=Z[1:-1])
-        yield A[1:-1], Y[1:-1]
+            # beta h b > _SCALE_LIMIT / 2, where 1/decay^b may overflow, or a
+            # grid of at most two blocks a column: block by block. At decay ==
+            # 0 each adds nothing.
+            for a in range(1, nblocks):
+                block_end[:, a] += decays[b] * block_end[:, a - 1]
+        # Each block's first pulse takes the state it inherits.
+        by_block = pulses.reshape(d, nblocks, b)
+        by_block[:, 1:, 0] += decay * block_end[:, :-1]
+        last = rows - 2  # grid point e - 1, whose unclipped state the next chunk takes
+        carry[:] = by_block[:, last // b] @ to_states[:, last % b]
+        for g in range(0, len(pulses), group):
+            part = pulses[g:g + group]
+            out = states[:len(part)]
+            np.matmul(part, to_states, out=out)
+            np.minimum(out, R, out=part)
+        yield A[1:rows - 1], Y[1:rows - 1]
 
 
 def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:

@@ -54,6 +54,19 @@ def test_simulate_then_recover_pipeline(tmp_path, model_file):
     assert len(doc["rows"]) == 5
 
 
+def test_recover_at_huge_beta_prints_nothing_to_stderr(tmp_path, model_file, capsys):
+    # A cluster log keeps its burn-in events. At beta = 1e308 their beta * gap
+    # overflows to inf, and their pulses are exactly 0.0.
+    events = str(tmp_path / "events.csv")
+    assert main(["simulate", "--model", model_file, "--T", "50", "--seed", "7",
+                 "--method", "cluster", "--out", events]) == 0
+    assert (tmp_path / "events.csv").read_text().splitlines()[1].split(",")[1].startswith("-")
+    capsys.readouterr()
+    assert main(["recover", "--events", events, "--beta", "1e308", "--auto", "--alpha", "0.3",
+                 "--w-minus", "1.0", "--k", "1", "--out", str(tmp_path / "net.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _count_calls(monkeypatch, names):
     """Replace each module attribute in `names` by a wrapper that counts its calls."""
     calls = {}

@@ -638,6 +638,13 @@ class TestBinAndClip:
         pytest.param(40.0, 1.0, 5000.0, id="blocks-of-15-rows"),
         pytest.param(650.0, 1.0, 300.0, id="decay-tiny-normal"),
         pytest.param(720.0, 1.0, 300.0, id="decay-subnormal"),
+        # The block scan's edges, at b = simulate._BLOCK = 16 rows a block:
+        # block ends chained by scaled sums of 600 / (beta h b) = 37 blocks,
+        # several to a chunk; block ends chained one at a time (beta h b =
+        # 800); and a last chunk of 15 rows (n = 4109), padded to one block.
+        pytest.param(1.0, 1.0, 5000.0, id="block-ends-in-sums-of-37"),
+        pytest.param(50.0, 1.0, 5000.0, id="block-ends-one-at-a-time"),
+        pytest.param(0.3, 1.0, 4109.5, id="last-chunk-of-15-rows"),
     ])
     def test_matches_sequential_recurrence(self, beta, h, t_end):
         rng = np.random.default_rng(11)
@@ -657,6 +664,29 @@ class TestBinAndClip:
                 x = p + decay * x
                 want.append(x)
             np.testing.assert_allclose(s.Z[:, j], want, rtol=1e-13, atol=0)
+
+    def test_states_match_sequential_recurrence_where_a_product_ends_inside_a_column(self):
+        # d = 64 takes the two-product layout; the states of each product's
+        # block rows end partway down a node's column.
+        d, beta, h, t_end = simulate._ONE_PRODUCT_BELOW_D, 0.5, 1.0, 5000.0
+        blocks = -(-(simulate.CHUNK_BINS + 2) // simulate._BLOCK)  # in a chunk's column
+        group = simulate._PRODUCT_BYTES // (8 * simulate._BLOCK)  # block rows per product
+        assert group % blocks and d * blocks > 2 * group
+        rng = np.random.default_rng(5)
+        log = manual_log(d, [np.sort(rng.uniform(-50.0, t_end, size=rng.poisson(t_end)))
+                             for _ in range(d)], t_start=-50.0, t_end=t_end)
+        Z, _ = _dense_grid(log, beta, h, R=1e300)
+        np.testing.assert_allclose(bin_and_clip(log, beta, h, R=1e300).Z, Z, rtol=1e-13, atol=0)
+
+    def test_huge_beta_bins_burn_in_events_without_overflow(self):
+        # For an event 3 or 5 before its grid point, beta * gap overflows to
+        # inf; its pulse, exp(-inf), is exactly 0.0. The suite turns the
+        # overflow warning into an error.
+        log = manual_log(1, [[-3.0, -1.0, 0.5, 1.0, 2.25]], t_start=-5.0, t_end=3.0)
+        s = bin_and_clip(log, beta=1e308, h=0.5, R=5.0)
+        assert s.Z[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        assert state_at(log, 1e308, 0, 2.0) == 0.0
+        assert state_at(log, 1e308, 0, 1.0) == 1.0
 
     def test_empty_network_bins_without_a_solve(self):
         # d=0 leaves every chunk with no columns. A fresh process shows that
