@@ -57,15 +57,12 @@ MAX_EVENTS = 10**8
 MAX_GRID_CELLS = 2**36
 # Binning runs the state recurrence in blocks of this many grid rows (Blelloch
 # 1990): a b x b product makes a block's states from its pulses and its
-# incoming state, and only the block ends are chained one after another.
+# incoming state, and the block ends are chained by b x b products too, in
+# groups of b; a chunk's column has at most b^2 block ends to chain.
 _BLOCK = 16
 # Most bytes of states one such product makes before they are clipped back
 # into the chunk: 256 KB, whatever d (a whole chunk's are 32 KB a node).
 _PRODUCT_BYTES = 256 * 1024
-# The block ends are chained by a cumulative sum scaled by 1/decay^r, over at
-# most this / (beta h) rows at a time; exp(600) leaves every weight and sum
-# finite.
-_SCALE_LIMIT = 600.0
 # Thinning folds its decay factor g into its Fenwick tree once g falls below
 # this, long before theta_ij / g could overflow.
 _RESCALE_BELOW = 1e-150
@@ -512,25 +509,22 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
     # X(rh) = decay X((r-1)h) + pulses[r] for every column at once, in blocks
     # of b rows. Lᵀ[t, u] = decay^(u - t) for t <= u turns a block's pulses into
     # its states, given no incoming state; its last column gives the block's
-    # end. The ends are then chained: scaled by grow[m] = 1/decay^(mb), the
-    # chain is a cumulative sum, over `links` block ends at a time so that
-    # grow stays finite. The powers of decay are its cumulative product, the
-    # factor the recurrence multiplies by, so the two round alike.
+    # end. The ends follow the same recurrence with factor hop = decay^b: one
+    # product chains them within groups of b blocks, one more chains the group
+    # ends with factor hop^b, and each end then takes hop^(t+1) times the end
+    # of the group before. Every power is at most 1, so nothing overflows.
     decay = math.exp(-beta * h)
     b = _BLOCK
     blocks = -(-(min(n, B) + 2) // b)  # in a column of the largest chunk
-    if beta * h * b * (blocks - 1) <= _SCALE_LIMIT:
-        links = blocks - 1
-    else:
-        links = int(_SCALE_LIMIT // (beta * h * b))
-    decays = np.full(max(links, 1) * b + 1, decay)
-    decays[0] = 1.0
-    np.cumprod(decays, out=decays)
-    lag = np.arange(b) - np.arange(b)[:, None]
-    to_states = np.triu(decays[np.abs(lag)])  # Lᵀ
+    to_states = _decay_powers(decay, b)  # Lᵀ
     to_end = to_states[:, -1].copy()
-    if links > 1:
-        grow = 1.0 / decays[::b]
+    hop = to_states[0, -1] * decay
+    hops = _decay_powers(hop, b)
+    lift = hops[0] * hop  # hop^(t+1)
+    to_groups = _decay_powers(lift[-1], b)
+    # Times decay, a chained end is what the next block's first pulse takes.
+    to_chain = decay * hops
+    block_ends = np.zeros((d, b * b))
     group = _PRODUCT_BYTES // (8 * b)  # block rows per product
     states = np.empty((group, b))
     # A chunk holds rows s - 1 .. e of the grid, b-padded. Row s - 1 of Z holds
@@ -574,24 +568,14 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
         Y = A[:, d + 1:] if one_product else y_flat.reshape(d, stride).T
         A[0, 1:d + 1] = carry
         pulses = a_flat[stride:(d + 1) * stride].reshape(d * nblocks, b)
-        block_end = (pulses @ to_end).reshape(d, nblocks)
-        if links > 1:
-            for a in range(0, nblocks - 1, links):
-                # Column a is final: the last of the previous part, or block 0's.
-                part = block_end[:, a:a + links + 1]
-                weight = grow[:part.shape[1]]
-                part *= weight
-                np.cumsum(part, axis=1, out=part)
-                part /= weight
-        else:
-            # beta h b > _SCALE_LIMIT / 2, where 1/decay^b may overflow, or a
-            # grid of at most two blocks a column: block by block. At decay ==
-            # 0 each adds nothing.
-            for a in range(1, nblocks):
-                block_end[:, a] += decays[b] * block_end[:, a - 1]
-        # Each block's first pulse takes the state it inherits.
         by_block = pulses.reshape(d, nblocks, b)
-        by_block[:, 1:, 0] += decay * block_end[:, :-1]
+        np.matmul(by_block[:, :-1], to_end, out=block_ends[:, :nblocks - 1])
+        block_ends[:, nblocks - 1:] = 0.0
+        chained = (block_ends.reshape(d * b, b) @ to_chain).reshape(d, b, b)
+        group_ends = chained[:, :, -1] @ to_groups
+        chained[:, 1:] += group_ends[:, :-1, None] * lift
+        # Each block's first pulse takes the state it inherits.
+        by_block[:, 1:, 0] += chained.reshape(d, b * b)[:, :nblocks - 1]
         last = rows - 2  # grid point e - 1, whose unclipped state the next chunk takes
         carry[:] = by_block[:, last // b] @ to_states[:, last % b]
         for g in range(0, len(pulses), group):
@@ -600,6 +584,19 @@ def _binned_chunks(log: EventLog, beta: float, h: float, R: float, n: int):
             np.matmul(part, to_states, out=out)
             np.minimum(out, R, out=part)
         yield A[1:rows - 1], Y[1:rows - 1]
+
+
+def _decay_powers(f: float, b: int) -> np.ndarray:
+    """The b x b upper-triangular matrix of f^(u - t) for t <= u, zero below.
+
+    The powers are a cumulative product of f, the factor the recurrence
+    multiplies by, so the two round alike.
+    """
+    powers = np.full(b, f)
+    powers[0] = 1.0
+    np.cumprod(powers, out=powers)
+    lag = np.arange(b) - np.arange(b)[:, None]
+    return np.triu(powers[np.abs(lag)])
 
 
 def write_events_csv(log: EventLog, path: str, meta_path: str) -> None:

@@ -638,10 +638,13 @@ class TestBinAndClip:
         pytest.param(40.0, 1.0, 5000.0, id="blocks-of-15-rows"),
         pytest.param(650.0, 1.0, 300.0, id="decay-tiny-normal"),
         pytest.param(720.0, 1.0, 300.0, id="decay-subnormal"),
-        # The block scan's edges, at b = simulate._BLOCK = 16 rows a block:
-        # block ends chained by scaled sums of 600 / (beta h b) = 37 blocks,
-        # several to a chunk; block ends chained one at a time (beta h b =
-        # 800); and a last chunk of 15 rows (n = 4109), padded to one block.
+        # The block scan's edges, at b = simulate._BLOCK = 16 rows a block,
+        # whose ends are chained within groups of 16 blocks and then across
+        # the groups of a chunk: at beta h = 1 a block end carries e^-16 to
+        # the next and a group end e^-256 to the next group; at beta h = 50
+        # decay^16 = e^-800 underflows to 0, so no end reaches the next
+        # block; and a last chunk of 15 rows (n = 4109), padded to one block.
+        # n-1e5 and beta-h-1e-6 carry states through every level.
         pytest.param(1.0, 1.0, 5000.0, id="block-ends-in-sums-of-37"),
         pytest.param(50.0, 1.0, 5000.0, id="block-ends-one-at-a-time"),
         pytest.param(0.3, 1.0, 4109.5, id="last-chunk-of-15-rows"),
@@ -677,6 +680,27 @@ class TestBinAndClip:
                              for _ in range(d)], t_start=-50.0, t_end=t_end)
         Z, _ = _dense_grid(log, beta, h, R=1e300)
         np.testing.assert_allclose(bin_and_clip(log, beta, h, R=1e300).Z, Z, rtol=1e-13, atol=0)
+
+    def test_block_end_chain_is_seen_where_states_stay_normal(self):
+        # At beta h = 20 a block end reaches the next block's end as decay^16 =
+        # e^-320, and the states of one event stay normal for 36 grid points,
+        # into a third block: a wrong block-end factor shows there.
+        beta, h = 2000.0, 0.01
+        log = manual_log(1, [[0.0]], t_start=-1.0, t_end=1.0)
+        Z = bin_and_clip(log, beta, h, R=5.0).Z[:, 0]
+        want, x, decay = [], 1.0, math.exp(-beta * h)
+        while x >= np.finfo(float).tiny:
+            want.append(x)
+            x *= decay
+        assert len(want) > 2 * simulate._BLOCK
+        np.testing.assert_allclose(Z[:len(want)], want, rtol=1e-13, atol=0)
+        assert Z[len(want):].max() < np.finfo(float).tiny
+
+    def test_a_chunk_has_at_most_block_squared_ends_to_chain(self):
+        # A chunk's column holds CHUNK_BINS + 2 rows; the ends of all its
+        # blocks but the last are chained, in at most _BLOCK groups of _BLOCK.
+        rows = simulate.CHUNK_BINS + 2
+        assert -(-rows // simulate._BLOCK) - 1 <= simulate._BLOCK ** 2
 
     def test_huge_beta_bins_burn_in_events_without_overflow(self):
         # For an event 3 or 5 before its grid point, beta * gap overflows to
