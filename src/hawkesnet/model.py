@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ class SparseInteractionMatrix:
     """Row-sparse nonnegative matrix; row i holds (source j, weight) pairs.
 
     Rows are stored sorted by source index with unique indices, so
-    iteration order is deterministic and lookup is a binary search.
+    iteration order is deterministic.
     """
 
     d: int
@@ -57,17 +56,6 @@ class SparseInteractionMatrix:
                 if w <= 0.0:
                     raise ValueError(f"row {i}: weight at {j} must be > 0")
 
-    def get(self, i: int, j: int) -> float:
-        """Return theta_ij (0.0 when the entry is absent)."""
-        row = self.rows[i]
-        pos = bisect_left(row, (j, -np.inf))
-        if pos < len(row) and row[pos][0] == j:
-            return row[pos][1]
-        return 0.0
-
-    def row_support(self, i: int) -> frozenset[int]:
-        return frozenset(j for j, _ in self.rows[i])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.d, self.d))
         for i, row in enumerate(self.rows):
@@ -82,10 +70,6 @@ class SparseInteractionMatrix:
             for j, w in row:
                 out[j] += w
         return out
-
-    @property
-    def nnz(self) -> int:
-        return sum(len(row) for row in self.rows)
 
     @staticmethod
     def from_entries(d: int, entries: Iterable[tuple[int, int, float]]) -> "SparseInteractionMatrix":
@@ -322,7 +306,7 @@ def build_subclass_instance(
 
 def support_of(params: HawkesParams) -> TrueSupport:
     return TrueSupport(
-        d=params.d, rows=tuple(params.theta.row_support(i) for i in range(params.d))
+        d=params.d, rows=tuple(frozenset(j for j, _ in row) for row in params.theta.rows)
     )
 
 
@@ -331,24 +315,10 @@ def permute_params(params: HawkesParams, pi: Sequence[int]) -> HawkesParams:
     pi = list(pi)
     if sorted(pi) != list(range(params.d)):
         raise ValueError("pi is not a permutation of [0, d)")
-    entries = []
-    for i, row in enumerate(params.theta.rows):
-        for j, w in row:
-            entries.append((pi[i], pi[j], w))
     mu = np.empty_like(params.mu)
-    for i in range(params.d):
-        mu[pi[i]] = params.mu[i]
-    return HawkesParams(
-        mu=mu,
-        theta=SparseInteractionMatrix.from_entries(params.d, entries),
-        beta=params.beta,
-        k=params.k,
-        alpha=params.alpha,
-        w_minus=params.w_minus,
-        w_plus=params.w_plus,
-        mu_minus=params.mu_minus,
-        mu_plus=params.mu_plus,
-    )
+    mu[pi] = params.mu
+    entries = [(pi[i], pi[j], w) for i, row in enumerate(params.theta.rows) for j, w in row]
+    return replace(params, mu=mu, theta=SparseInteractionMatrix.from_entries(params.d, entries))
 
 
 def params_to_json(params: HawkesParams) -> str:

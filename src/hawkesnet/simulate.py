@@ -126,10 +126,10 @@ class BinnedSample:
     Y[r, i] = 1 iff node i has at least one event in (r*h, (r+1)*h].
 
     The estimator reads only `statistics`, sums over the grid taken
-    CHUNK_BINS rows at a time. A sample made from Z and Y sums slices of
-    them. A sample that `bin_and_clip` made from a log holds the sums and
-    the log, not Z and Y: reading Z or Y bins the log again and keeps the
-    arrays, chunk after chunk.
+    CHUNK_BINS rows at a time when the sample is made. A sample made from
+    Z and Y sums slices of them. A sample that `bin_and_clip` made from a
+    log holds the sums and the log, not Z and Y: reading Z or Y bins the
+    log again and keeps the arrays, chunk after chunk.
     """
 
     def __init__(self, n: int, h: float, R: float, Z: np.ndarray, Y: np.ndarray):
@@ -138,8 +138,8 @@ class BinnedSample:
         Z.setflags(write=False)
         Y.setflags(write=False)
         self.n, self.h, self.R, self.d = n, h, R, Z.shape[1]
-        self._Z, self._Y, self._statistics = Z, Y, None
-        self._chunks = lambda: _sliced_chunks(Z, Y)
+        self._Z, self._Y = Z, Y
+        self.statistics = GridStatistics.of(self.d, _sliced_chunks(Z, Y))
 
     @classmethod
     def _binned(cls, log: EventLog, beta: float, n: int, h: float, R: float) -> "BinnedSample":
@@ -148,7 +148,7 @@ class BinnedSample:
         sample.n, sample.h, sample.R, sample.d = n, h, R, log.d
         sample._Z = sample._Y = None
         sample._chunks = lambda: _binned_chunks(log, beta, h, R, n)
-        sample._statistics = GridStatistics.of(log.d, sample._chunks())
+        sample.statistics = GridStatistics.of(log.d, sample._chunks())
         return sample
 
     @property
@@ -174,12 +174,6 @@ class BinnedSample:
         Z.setflags(write=False)
         Y.setflags(write=False)
         self._Z, self._Y = Z, Y
-
-    @property
-    def statistics(self) -> "GridStatistics":
-        if self._statistics is None:
-            self._statistics = GridStatistics.of(self.d, self._chunks())
-        return self._statistics
 
 
 def _sliced_chunks(Z: np.ndarray, Y: np.ndarray):
