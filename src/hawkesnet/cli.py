@@ -73,6 +73,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    mode, unread = (("--auto", ("h", "R", "m", "tau")) if args.auto
+                    else ("explicit mode", ("alpha", "w_minus", "k")))
+    stray = ["--" + name.replace("_", "-") for name in unread if getattr(args, name) is not None]
+    if stray:
+        raise SpecError(f"{mode} does not read {', '.join(stray)}")
     log = read_events_csv(args.events, _meta_path(args.events))
     if args.auto:
         if args.alpha is None or args.w_minus is None or args.k is None:
@@ -131,6 +136,8 @@ def _write_json_by_rows(out, doc: dict) -> None:
 
 
 def _cmd_fano(args) -> int:
+    if args.out and not args.curve:
+        raise SpecError("--out writes a --curve; without --curve the floor goes to stdout")
     def inputs(T: float) -> FanoInputs:
         return FanoInputs(
             d=args.d, k=args.k, T=T, beta=args.beta,

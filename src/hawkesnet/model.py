@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -312,7 +313,10 @@ def support_of(params: HawkesParams) -> TrueSupport:
 
 def permute_params(params: HawkesParams, pi: Sequence[int]) -> HawkesParams:
     """Relabel nodes by the permutation pi (node i becomes pi[i])."""
-    pi = list(pi)
+    try:
+        pi = [operator.index(p) for p in pi]  # numpy integers become ints
+    except TypeError:
+        raise ValueError(f"pi must hold integers, got {pi!r}") from None
     if sorted(pi) != list(range(params.d)):
         raise ValueError("pi is not a permutation of [0, d)")
     mu = np.empty_like(params.mu)

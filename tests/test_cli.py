@@ -136,6 +136,25 @@ def test_recover_explicit_mode_requires_all_flags(tmp_path, model_file):
     assert rc == EXIT_SPEC_ERROR
 
 
+@pytest.mark.parametrize("auto, extra", [
+    (True, ["--h", "0.1"]),
+    (True, ["--m", "2", "--tau", "0.01"]),
+    (False, ["--k", "1"]),
+    (False, ["--alpha", "0.3", "--w-minus", "1.0"]),
+])
+def test_recover_refuses_flags_its_mode_does_not_read(tmp_path, model_file, capsys, auto, extra):
+    events = _simulated_events(tmp_path, model_file)
+    if auto:
+        args = _recover_args(str(events), str(tmp_path / "n.json"))
+    else:
+        args = ["recover", "--events", str(events), "--beta", "1.0", "--h", "0.09", "--R", "4",
+                "--m", "2", "--tau", "0.0135", "--out", str(tmp_path / "n.json")]
+    assert main(args + extra) == EXIT_SPEC_ERROR
+    err = _one_line_error(capsys)
+    assert "does not read" in err and all(f in err for f in extra if f.startswith("--"))
+    assert not (tmp_path / "n.json").exists()
+
+
 def test_oracle_output(capsys, model_file):
     assert main(["oracle", "--model", model_file]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -189,6 +208,13 @@ def test_fano_point_and_curve(tmp_path, capsys):
     assert len(lines) == 6
     first = float(lines[1].split(",")[1])
     assert first == pytest.approx(floor)
+
+
+def test_fano_out_without_curve_exits_2(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main([*FANO_ARGS, "--out", str(out)]) == EXIT_SPEC_ERROR
+    assert "--curve" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_fano_invalid_dimension_exits_2(capsys):

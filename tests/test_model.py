@@ -196,6 +196,13 @@ def test_permutation_equivariance():
     pi = rng.permutation(8)
     q = permute_params(p, pi)
     assert np.array_equal(q.theta.to_dense()[np.ix_(pi, pi)], p.theta.to_dense())
+    # A numpy permutation still gives a model that saves and loads.
+    r = params_from_json(params_to_json(q))
+    assert r.theta.rows == q.theta.rows and r.mu.tobytes() == q.mu.tobytes()
+    bounds = ("beta", "k", "alpha", "w_minus", "w_plus", "mu_minus", "mu_plus")
+    assert [getattr(r, b) for b in bounds] == [getattr(p, b) for b in bounds]
+    with pytest.raises(ValueError, match="pi must hold integers"):
+        permute_params(p, pi.astype(float))
     sup_p, sup_q = support_of(p), support_of(q)
     for i in range(8):
         assert sup_q.rows[pi[i]] == frozenset(pi[j] for j in sup_p.rows[i])

@@ -633,20 +633,20 @@ class TestBinAndClip:
         pytest.param(1.0, 0.04, 4000.0, id="n-1e5"),
         pytest.param(1000.0, 1.0, 300.0, id="decay-underflows"),
         pytest.param(1e-6, 1.0, 1e5, id="beta-h-1e-6"),
-        # A chunk spans several blocks of the scaled sum, and one block
-        # straddles a chunk edge.
-        pytest.param(40.0, 1.0, 5000.0, id="blocks-of-15-rows"),
         pytest.param(650.0, 1.0, 300.0, id="decay-tiny-normal"),
         pytest.param(720.0, 1.0, 300.0, id="decay-subnormal"),
         # The block scan's edges, at b = simulate._BLOCK = 16 rows a block,
         # whose ends are chained within groups of 16 blocks and then across
         # the groups of a chunk: at beta h = 1 a block end carries e^-16 to
-        # the next and a group end e^-256 to the next group; at beta h = 50
-        # decay^16 = e^-800 underflows to 0, so no end reaches the next
-        # block; and a last chunk of 15 rows (n = 4109), padded to one block.
-        # n-1e5 and beta-h-1e-6 carry states through every level.
-        pytest.param(1.0, 1.0, 5000.0, id="block-ends-in-sums-of-37"),
-        pytest.param(50.0, 1.0, 5000.0, id="block-ends-one-at-a-time"),
+        # the next and a group end e^-256 to the next group; at beta h = 40
+        # a block end carries e^-640, and a group end's e^-10240 underflows
+        # to 0; at beta h = 50 decay^16 = e^-800 underflows to 0, so no end
+        # reaches the next block; and a last chunk of 15 rows (n = 4109),
+        # padded to one block. n-1e5 and beta-h-1e-6 carry states through
+        # every level.
+        pytest.param(1.0, 1.0, 5000.0, id="block-ends-carry-e-16"),
+        pytest.param(40.0, 1.0, 5000.0, id="group-ends-underflow"),
+        pytest.param(50.0, 1.0, 5000.0, id="block-ends-underflow"),
         pytest.param(0.3, 1.0, 4109.5, id="last-chunk-of-15-rows"),
     ])
     def test_matches_sequential_recurrence(self, beta, h, t_end):
