@@ -315,8 +315,8 @@ def permute_params(params: HawkesParams, pi: Sequence[int]) -> HawkesParams:
     """Relabel nodes by the permutation pi (node i becomes pi[i])."""
     try:
         pi = [operator.index(p) for p in pi]  # numpy integers become ints
-    except TypeError:
-        raise ValueError(f"pi must hold integers, got {pi!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"pi must hold integers: {exc}") from None
     if sorted(pi) != list(range(params.d)):
         raise ValueError("pi is not a permutation of [0, d)")
     mu = np.empty_like(params.mu)
