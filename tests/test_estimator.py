@@ -377,7 +377,8 @@ def test_recover_stacks_gram_blocks_within_the_budget_at_m_equal_to_d():
     # m = d = 200: one (d, m, m) stack of every row's Gram block would take 64 MB.
     d, n = 200, 400
     rng = np.random.default_rng(5)
-    sample = make_sample(rng.random((n, d)), rng.random((n, d)) < 0.3)  # sums the grid
+    # Making the sample takes the grid sums, before the trace starts.
+    sample = make_sample(rng.random((n, d)), rng.random((n, d)) < 0.3)
     config = EstimatorConfig(h=0.1, R=1.0, m=d, tau=0.01)
     tracemalloc.start()
     try:

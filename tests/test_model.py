@@ -196,6 +196,7 @@ def test_permutation_equivariance():
     pi = rng.permutation(8)
     q = permute_params(p, pi)
     assert np.array_equal(q.theta.to_dense()[np.ix_(pi, pi)], p.theta.to_dense())
+    assert np.array_equal(q.mu[pi], p.mu)
     # A numpy permutation still gives a model that saves and loads.
     r = params_from_json(params_to_json(q))
     assert r.theta.rows == q.theta.rows and r.mu.tobytes() == q.mu.tobytes()
